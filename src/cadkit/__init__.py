@@ -18,10 +18,8 @@ from .realalg import (
     choose_sample,
     isolate_roots,
     isolate_with_multiplicity,
-    sample_between,
-    thom_encoding,
 )
-from .chains import SamplePoint, sign_at
+from .chains import SamplePoint, sample_between, sign_at, thom_encoding
 from .projection import (
     ClauseSpec,
     ProjectionConfig,

@@ -9,24 +9,21 @@ builder serves every level.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomial import Polynomial, PolynomialError, VarOrder, squarefree_part
-from . import realalg
 from .chains import (
-    AlgebraicCoord,
     SamplePoint,
     chain_reduce,
     is_zero_chain_or_const,
     isolate_chain,
     merge_chain_roots,
-    refine_coord,
+    sample_between,
 )
-from .realalg import choose_sample
+from .realalg import RealAlgebraicNumber, isolate_roots
 from .projection import (
     ClauseSpec,
     ProjectionConfig,
@@ -59,6 +56,14 @@ class RootRef:
         if self.value is not None:
             return str(self.value)
         return "RootOf_%d(%s, %s)" % (self.index, self.poly, var)
+
+    def over(self, var: str, prefix: Dict[str, Fraction]):
+        """The root named here, over a rational prefix point; None if the
+        polynomial has fewer real roots there."""
+        if self.value is not None:
+            return RealAlgebraicNumber.rational(self.value, var,
+                                                self.poly.order)
+        return indexed_root(self.poly, var, self.index, prefix)
 
 
 @dataclass(frozen=True)
@@ -143,42 +148,9 @@ class CAD:
                    if c.dimension == (self.nvars if k is None else k))
 
 
-def default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("CADKIT_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 # -- stack construction -------------------------------------------------
 
-def _bound_of(coord, side: str):
-    """(value, strict) form of a coordinate used as a sector bound."""
-    if coord is None:
-        return None, True
-    iv = coord.interval
-    if iv.is_point:
-        return iv.lo, True
-    return (iv.hi, False) if side == "lower" else (iv.lo, False)
-
-
-def _sector_sample(left, right, prefix) -> Fraction:
-    """A small rational strictly between two neighbouring roots (either
-    may be None for an unbounded sector)."""
-    while True:
-        lo, lo_strict = _bound_of(left, "lower")
-        hi, hi_strict = _bound_of(right, "upper")
-        if lo is None or hi is None:
-            return choose_sample(lo, hi, lo_strict, hi_strict)
-        if lo < hi or (lo == hi and not lo_strict and not hi_strict):
-            return choose_sample(lo, hi, lo_strict, hi_strict)
-        if left is not None and not left.interval.is_point:
-            refine_coord(left, prefix)
-        if right is not None and not right.interval.is_point:
-            refine_coord(right, prefix)
-
-
-def _root_ref(coord: AlgebraicCoord, members: Sequence[int],
+def _root_ref(coord: RealAlgebraicNumber, members: Sequence[int],
               splitters: Sequence[Polynomial],
               per_poly_rank: Dict[int, int], base_dim: int) -> RootRef:
     owner = min(members, key=lambda i: splitters[i].sort_key())
@@ -204,7 +176,7 @@ def build_stack(base: Cell, var: str,
     recording sign 0 is sound."""
     sample = base.sample
     chain = sample.chain()
-    groups: List[List[AlgebraicCoord]] = []
+    groups: List[List[RealAlgebraicNumber]] = []
     active: List[Polynomial] = []
     nullified = list(base.nullified)
     for p in split_polys:
@@ -217,7 +189,7 @@ def build_stack(base: Cell, var: str,
                     raise NotWellOriented(base.index, p)
                 nullified.append(str(p))
             continue
-        groups.append(isolate_chain(prepared, var, chain, origin=p))
+        groups.append(isolate_chain(prepared, var, chain))
         active.append(p)
     merged = merge_chain_roots(groups, var, chain)
 
@@ -237,7 +209,7 @@ def build_stack(base: Cell, var: str,
     for j in range(len(coords) + 1):
         left = coords[j - 1] if j > 0 else None
         right = coords[j] if j < len(coords) else None
-        q = _sector_sample(left, right, chain)
+        q = sample_between(left, right, chain)
         s = sample.extend(q)
         con = CoordConstraint(var, "sector",
                               lower=refs[j - 1] if j > 0 else None,
@@ -310,22 +282,11 @@ def lift(cad: CAD, pk: Sequence[Polynomial], mode: str = "full",
         split = list(pk)
     extra = [p for p in pk if str(p) not in {str(q) for q in split}]
     proj_signs = list(pk) if store_proj_signs else []
-    bases = cad.cells(k - 1)
-
-    def one(base: Cell) -> Stack:
-        return build_stack(base, var, split, list(sign_polys) + extra,
-                           proj_signs, tolerate_nullification)
-
-    jobs = default_jobs()
-    if jobs > 1 and len(bases) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            stacks = list(pool.map(one, bases))
-    else:
-        stacks = [one(b) for b in bases]
     new_cells: List[Cell] = []
-    for stack in stacks:
-        new_cells.extend(stack.cells)
+    for base in cad.cells(k - 1):
+        new_cells.extend(build_stack(base, var, split,
+                                     list(sign_polys) + extra, proj_signs,
+                                     tolerate_nullification).cells)
     out = CAD(cad.order, cad.levels, dict(cad.cells_by_level),
               dict(cad.splitters), cad.invariance_kind)
     out.cells_by_level[k] = new_cells
@@ -459,7 +420,7 @@ def indexed_root(poly: Polynomial, var: str, index: int,
     q = poly.substitute({k: v for k, v in prefix.items() if k != var})
     if q.is_constant:
         return None
-    roots = realalg.isolate_roots(squarefree_part(q))
+    roots = isolate_roots(squarefree_part(q))
     if index > len(roots):
         return None
     return roots[index - 1]
@@ -472,49 +433,27 @@ def random_point_in_cell(cad: CAD, cell: Cell, rng) -> Dict[str, Fraction]:
     if cell.dimension != cell.level:
         raise PolynomialError("random sampling needs a full-dimensional cell")
     assignment: Dict[str, Fraction] = {}
+    pick = _random_pick(rng)
     for con in cell.description:
         if con.kind == "eq":
             raise PolynomialError("cell description is not full-dimensional")
-        left = right = None
-        if con.kind == "sector":
-            if con.lower is not None:
-                left = (_as_root(con.lower.value) if con.lower.value is not None
-                        else indexed_root(con.lower.poly, con.var,
-                                          con.lower.index, assignment))
-            if con.upper is not None:
-                right = (_as_root(con.upper.value) if con.upper.value is not None
-                         else indexed_root(con.upper.poly, con.var,
-                                           con.upper.index, assignment))
-        assignment[con.var] = _random_between(left, right, rng)
+        left, right = (None if r is None else r.over(con.var, assignment)
+                       for r in (con.lower, con.upper))
+        assignment[con.var] = sample_between(left, right, pick=pick)
     return assignment
 
 
-def _as_root(value: Fraction):
-    order = VarOrder(("t",))
-    p = Polynomial.var(order, "t") - Polynomial.const(order, value)
-    return realalg.RealAlgebraicNumber(p, realalg.Interval(value, value,
-                                                           "point"))
-
-
-def _random_between(left, right, rng) -> Fraction:
-    while True:
-        lo = None if left is None else left.interval.hi
-        lo_strict = left is not None and left.interval.is_point
-        hi = None if right is None else right.interval.lo
-        hi_strict = right is not None and right.interval.is_point
+def _random_pick(rng):
+    """A ``sample_between`` picker drawing a random rational instead of
+    the simplest one."""
+    def pick(lo, hi, lo_strict, hi_strict) -> Fraction:
         if lo is None and hi is None:
             return Fraction(rng.randint(-64, 64), rng.randint(1, 8))
         if lo is None:
             return hi - Fraction(rng.randint(1, 64), rng.randint(1, 8))
         if hi is None:
             return lo + Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        if lo < hi:
-            t = Fraction(rng.randint(1, 63), 64)
-            q = lo + (hi - lo) * t
-            return q
-        if lo == hi and not lo_strict and not hi_strict:
+        if lo == hi:
             return lo
-        if left is not None and not left.interval.is_point:
-            left = realalg.refine(left, left.interval.width / 2)
-        if right is not None and not right.interval.is_point:
-            right = realalg.refine(right, right.interval.width / 2)
+        return lo + (hi - lo) * Fraction(rng.randint(1, 63), 64)
+    return pick

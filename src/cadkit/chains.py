@@ -1,19 +1,23 @@
-"""Sample points with triangular chains of algebraic coordinates.
+"""Arithmetic on real algebraic numbers, and sample points with
+triangular chains of algebraic coordinates.
 
-A sample point stores one coordinate per level: a rational, or an
-algebraic coordinate defined by a polynomial in the earlier coordinates
-plus an isolating interval.  Sign queries are exact: zero is certified
-symbolically by gcd computations over the chain, and nonzero signs come
-from interval refinement (guaranteed to terminate once zero is ruled
-out).  Root counting over a chain uses Sturm sequences built with
-pseudo-remainders whose sign corrections are evaluated at the point.
+A sample point stores one coordinate per level: a rational, or a
+``RealAlgebraicNumber`` defined by a polynomial in the earlier algebraic
+coordinates (its prefix) plus an isolating interval.  A number over Q has
+the empty prefix, so refinement, exact comparison, root-list merging,
+rationals between two numbers and signs of polynomials are implemented
+here once, for every algebraic number.  Sign queries are exact: zero is
+certified symbolically by gcd computations over the chain, and nonzero
+signs come from interval refinement (guaranteed to terminate once zero
+is ruled out).  Root counting over a chain uses Sturm sequences built
+with pseudo-remainders whose sign corrections are evaluated at the point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .polynomial import Polynomial, PolynomialError, pseudo_divmod
 from .realalg import (Interval, RealAlgebraicNumber, RealAlgError,
@@ -21,41 +25,8 @@ from .realalg import (Interval, RealAlgebraicNumber, RealAlgError,
 
 _ZERO = Fraction(0)
 
-
-class AlgebraicCoord:
-    """One algebraic coordinate of a sample point.
-
-    ``defining`` involves only earlier algebraic chain variables and the
-    coordinate's own variable (rational coordinates are substituted away
-    at construction).  The interval is refined in place; the represented
-    value never changes.
-    """
-
-    __slots__ = ("var", "defining", "interval", "origin", "multiplicity")
-
-    def __init__(self, var: str, defining: Polynomial, interval: Interval,
-                 origin: Optional[Polynomial] = None, multiplicity: int = 1):
-        self.var = var
-        self.defining = defining
-        self.interval = interval
-        self.origin = origin if origin is not None else defining
-        self.multiplicity = multiplicity
-
-    @property
-    def is_rational(self) -> bool:
-        return self.interval.is_point
-
-    def rational_value(self) -> Fraction:
-        return self.interval.lo
-
-    def __str__(self):
-        if self.is_rational:
-            return str(self.interval.lo)
-        return "RootOf(%s in %s, %s)" % (self.defining, self.var, self.interval)
-
-
-Coord = Union[Fraction, AlgebraicCoord]
-Chain = List[AlgebraicCoord]
+Coord = Union[Fraction, RealAlgebraicNumber]
+Chain = Sequence[RealAlgebraicNumber]
 
 
 # -- rational interval arithmetic ---------------------------------------
@@ -97,8 +68,9 @@ def _boxes(chain: Chain) -> dict:
 
 # -- chain refinement ---------------------------------------------------
 
-def refine_coord(coord: AlgebraicCoord, prefix: Chain) -> None:
-    """Halve the coordinate's isolating interval in place."""
+def refine_coord(coord: RealAlgebraicNumber, prefix: Chain) -> None:
+    """Halve the coordinate's isolating interval in place; the kept half
+    is read off the sign at the lower endpoint, which is never a root."""
     iv = coord.interval
     if iv.is_point:
         return
@@ -294,16 +266,15 @@ def count_roots_chain(f: Polynomial, v: str, prefix: Chain,
 
 # -- root isolation over a chain ----------------------------------------
 
-def isolate_chain(f: Polynomial, v: str, prefix: Chain,
-                  origin: Optional[Polynomial] = None) -> List[AlgebraicCoord]:
+def isolate_chain(f: Polynomial, v: str,
+                  prefix: Chain) -> List[RealAlgebraicNumber]:
     """Isolate the real roots of f specialised at the prefix point.
 
     f must not vanish identically at the point.  Returns ascending
     coordinates with pairwise-disjoint intervals; exact rational roots
-    found along the way get point intervals.
+    found along the way get point intervals, an open interval contains
+    exactly one root, and neither of its endpoints is a root.
     """
-    if origin is None:
-        origin = f
     f = chain_reduce(f, v, prefix)
     if _chain_poly_is_zero(f, v, prefix):
         raise PolynomialError("cannot isolate roots of a vanishing polynomial")
@@ -312,36 +283,33 @@ def isolate_chain(f: Polynomial, v: str, prefix: Chain,
     if not prefix:
         # fully rational point: the Descartes isolator is faster and
         # pins down rational roots as exact point intervals
-        out = []
-        for r in isolate_with_multiplicity(f):
-            out.append(AlgebraicCoord(v, r.defining, r.interval, origin,
-                                      r.multiplicity))
-        return out
+        return isolate_with_multiplicity(f)
     g = chain_gcd(f, f.derivative(v), v, prefix)
     if g is not None and g.degree(v) >= 1:
         q, _ = pseudo_divmod(f, g, v)
         f = chain_reduce(_shrink(q), v, prefix)
-    return _isolate_squarefree_chain(f, v, prefix, origin)
+    return _isolate_squarefree_chain(f, v, prefix)
 
 
-def _isolate_squarefree_chain(f: Polynomial, v: str, prefix: Chain,
-                              origin: Polynomial) -> List[AlgebraicCoord]:
+def _isolate_squarefree_chain(f: Polynomial, v: str,
+                              prefix: Chain) -> List[RealAlgebraicNumber]:
     seq = sturm_chain(f, v, prefix)
     bound = _chain_root_bound(f, v, prefix)
     total = count_roots_chain(f, v, prefix, -bound, bound, seq)
-    roots: List[AlgebraicCoord] = []
+    roots: List[RealAlgebraicNumber] = []
     stack = [(-bound, bound, total)]
     while stack:
         lo, hi, n = stack.pop()
         if n == 0:
             continue
         if n == 1:
-            roots.append(AlgebraicCoord(v, f, Interval(lo, hi), origin))
+            roots.append(RealAlgebraicNumber(f, Interval(lo, hi), var=v))
             continue
         mid = (lo + hi) / 2
         if is_zero_chain(f.substitute({v: mid}), prefix):
             # exact rational root at the bisection point: record and deflate
-            roots.append(AlgebraicCoord(v, f, Interval(mid, mid, "point"), origin))
+            roots.append(RealAlgebraicNumber(f, Interval(mid, mid, "point"),
+                                             var=v))
             divisor = Polynomial.var(f.order, v) - Polynomial.const(f.order, mid)
             quo, _ = pseudo_divmod(f, divisor, v)
             quo = chain_reduce(_shrink(quo), v, prefix)
@@ -381,8 +349,8 @@ def _chain_root_bound(f: Polynomial, v: str, prefix: Chain) -> Fraction:
             refine_coord(entry, prefix[:i])
 
 
-def _separate_coords(roots: List[AlgebraicCoord], v: str,
-                     prefix: Chain) -> List[AlgebraicCoord]:
+def _separate_coords(roots: List[RealAlgebraicNumber], v: str,
+                     prefix: Chain) -> List[RealAlgebraicNumber]:
     # disjoint by construction (Sturm counts), but tighten overlapping
     # endpoints produced by shared bisection midpoints
     for a, b in zip(roots, roots[1:]):
@@ -392,14 +360,14 @@ def _separate_coords(roots: List[AlgebraicCoord], v: str,
     return roots
 
 
-def merge_chain_roots(groups: List[List[AlgebraicCoord]], v: str,
-                      prefix: Chain) -> List[Tuple[AlgebraicCoord, List[int]]]:
+def merge_chain_roots(groups: List[List[RealAlgebraicNumber]], v: str,
+                      prefix: Chain) -> List[Tuple[RealAlgebraicNumber, List[int]]]:
     """Merge per-polynomial root lists into one ascending list.
 
     Returns (coordinate, member indices) pairs, where the indices name
     the groups whose polynomial vanishes at that coordinate.
     """
-    merged: List[Tuple[AlgebraicCoord, List[int]]] = []
+    merged: List[Tuple[RealAlgebraicNumber, List[int]]] = []
     for gi, group in enumerate(groups):
         for root in group:
             placed = False
@@ -418,8 +386,10 @@ def merge_chain_roots(groups: List[List[AlgebraicCoord]], v: str,
     return merged
 
 
-def compare_chain_coords(a: AlgebraicCoord, b: AlgebraicCoord, v: str,
-                         prefix: Chain) -> int:
+def compare_chain_coords(a: RealAlgebraicNumber, b: RealAlgebraicNumber,
+                         v: str, prefix: Chain) -> int:
+    """Exact trichotomy -1, 0, 1 for a <, =, > b, two roots in v over the
+    prefix point; ``RealAlgebraicNumber.rational`` makes a rational one."""
     while True:
         ia, ib = a.interval, b.interval
         if ia.is_point and ib.is_point:
@@ -447,6 +417,52 @@ def compare_chain_coords(a: AlgebraicCoord, b: AlgebraicCoord, v: str,
                 return 0
         refine_coord(a, prefix)
         refine_coord(b, prefix)
+
+
+def sample_between(left: Optional[RealAlgebraicNumber],
+                   right: Optional[RealAlgebraicNumber], prefix: Chain = (),
+                   pick: Callable[..., Fraction] = choose_sample) -> Fraction:
+    """A rational strictly between two roots over the prefix point,
+    left < right; None stands for -/+ infinity.
+
+    The endpoints of open isolating intervals are never roots, so they
+    are admissible.  The intervals are refined until they separate, then
+    ``pick(lo, hi, lo_strict, hi_strict)`` chooses the rational; the
+    default picks the simplest one.
+    """
+    while True:
+        lo, lo_strict = _sector_end(left, upper=False)
+        hi, hi_strict = _sector_end(right, upper=True)
+        if lo is None or hi is None or lo < hi or \
+                (lo == hi and not lo_strict and not hi_strict):
+            return pick(lo, hi, lo_strict, hi_strict)
+        if lo_strict and hi_strict:
+            raise RealAlgError("sample_between needs left < right")
+        refine_coord(left, prefix)
+        refine_coord(right, prefix)
+
+
+def _sector_end(coord: Optional[RealAlgebraicNumber], upper: bool):
+    # (value, strict) of the side of coord that faces the sector
+    if coord is None:
+        return None, True
+    iv = coord.interval
+    if iv.is_point:
+        return iv.lo, True
+    return (iv.lo if upper else iv.hi), False
+
+
+def thom_encoding(p: Polynomial, r: RealAlgebraicNumber) -> tuple:
+    """Signs of p', p'', ... at a root r over Q of p."""
+    var = p.main_var()
+    if sign_at_chain(p, [r]) != 0:
+        raise RealAlgError("point is not a root of the polynomial")
+    signs = []
+    q = p
+    for _ in range(p.degree(var)):
+        q = q.derivative(var)
+        signs.append(sign_at_chain(q, [r]))
+    return tuple(signs)
 
 
 # -- sample points ------------------------------------------------------
@@ -478,7 +494,7 @@ class SamplePoint:
 
     def chain(self) -> Chain:
         return [c for c in self.coords
-                if isinstance(c, AlgebraicCoord) and not c.is_rational]
+                if isinstance(c, RealAlgebraicNumber) and not c.is_rational]
 
     def prepare(self, p: Polynomial) -> Polynomial:
         return p.substitute(self.rational_assignment())

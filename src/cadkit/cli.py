@@ -384,11 +384,9 @@ def cmd_fixtures(args) -> int:
 
 # -- wiring -------------------------------------------------------------
 
-def _add_common(sp, order_required: bool = True):
+def _add_common(sp):
     sp.add_argument("--format", choices=("summary", "json"),
                     default="summary")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker cap; mirrors CADKIT_JOBS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "jobs", None):
-        os.environ["CADKIT_JOBS"] = str(args.jobs)
     try:
         return args.fn(args)
     except NotWellOriented as exc:

@@ -93,7 +93,10 @@ class Polynomial:
             expts = tuple(expts)
             if len(expts) != n or any(e < 0 for e in expts):
                 raise PolynomialError("bad exponent vector %r" % (expts,))
-            cleaned[expts] = cleaned.get(expts, Fraction(0)) + coeff
+            if expts in cleaned:
+                cleaned[expts] += coeff
+            else:
+                cleaned[expts] = coeff
         self.terms = {e: c for e, c in cleaned.items() if c != 0}
         self._hash = None
 
@@ -241,7 +244,11 @@ class Polynomial:
         return [Polynomial(self.order, b) for b in buckets]
 
     def leading_coeff(self, var: str) -> "Polynomial":
-        return self.coeffs_in(var)[-1]
+        i = self.order.index(var)
+        d = self.degree(var)
+        return Polynomial(self.order, {m[:i] + (0,) + m[i + 1:]: c
+                                       for m, c in self.terms.items()
+                                       if m[i] == d})
 
     def reductum(self, var: str) -> "Polynomial":
         """Drop the leading term with respect to ``var``."""
@@ -273,36 +280,20 @@ class Polynomial:
 
     # -- substitution / evaluation --------------------------------------
 
-    def substitute(self, assignment: Mapping[str, object]) -> "Polynomial":
-        """Substitute rationals or polynomials for variables."""
-        values = {}
-        for name, v in assignment.items():
-            i = self.order.index(name)
-            if isinstance(v, Polynomial):
-                if v.order != self.order:
-                    raise PolynomialError("mismatched variable orders")
-                values[i] = v
-            else:
-                values[i] = Polynomial.const(self.order, Fraction(v))
-        result = Polynomial.zero(self.order)
-        pow_cache: dict = {}
+    def substitute(self, assignment: Mapping[str, Scalar]) -> "Polynomial":
+        """Substitute rationals for variables."""
+        values = [(self.order.index(name), Fraction(v))
+                  for name, v in assignment.items()]
+        terms: dict = {}
         for m, c in self.terms.items():
-            term = Polynomial.const(self.order, c)
-            rest = [0] * len(m)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i in values:
-                    key = (i, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = values[i] ** e
-                    term = term * pow_cache[key]
-                else:
-                    rest[i] = e
-            if any(rest):
-                term = term * Polynomial(self.order, {tuple(rest): Fraction(1)})
-            result = result + term
-        return result
+            rest = list(m)
+            for i, v in values:
+                if m[i]:
+                    c *= v ** m[i]
+                    rest[i] = 0
+            rest = tuple(rest)
+            terms[rest] = terms.get(rest, 0) + c
+        return Polynomial(self.order, terms)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         total = Fraction(0)
@@ -457,11 +448,7 @@ def parse_poly(text: str, order: VarOrder) -> Polynomial:
         node = parse_base()
         if peek() == "^":
             take()
-            neg = False
-            tok = take("num")
-            node = node ** tok[1]
-            if neg:
-                raise PolynomialError("negative exponent")
+            node = node ** take("num")[1]
         return node
 
     def parse_base():
@@ -485,21 +472,6 @@ def parse_poly(text: str, order: VarOrder) -> Polynomial:
     node = parse_expr()
     take("end")
     return node
-
-
-# -- spec-surface arithmetic entry point --------------------------------
-
-def arith(a: Polynomial, b: Polynomial, kind: str) -> Polynomial:
-    """add / sub / mul with variable-order agreement enforced."""
-    if a.order != b.order:
-        raise PolynomialError("mismatched variable orders")
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise PolynomialError("unknown arith kind %r" % kind)
 
 
 # -- pseudo-division ----------------------------------------------------

@@ -330,10 +330,6 @@ def tti_step(clauses: Sequence[ClauseSpec], var: str) -> List[Polynomial]:
 
 # -- the full tower -----------------------------------------------------
 
-def _true_level(p: Polynomial) -> int:
-    return p.level()
-
-
 def _attach_provenance(result: ProjectionLevels, k: int,
                        basis: Sequence[Polynomial],
                        raw: Sequence[Tagged]) -> None:
@@ -346,8 +342,7 @@ def _attach_provenance(result: ProjectionLevels, k: int,
         result.provenance[(k, str(b))] = hits
 
 
-def project_all(inputs, config: ProjectionConfig,
-                step_hook=None) -> ProjectionLevels:
+def project_all(inputs, config: ProjectionConfig) -> ProjectionLevels:
     """Run projection from the top level down to the univariate set.
 
     ``inputs`` is a list of polynomials for the collins/mccallum operators,
@@ -373,7 +368,7 @@ def project_all(inputs, config: ProjectionConfig,
             continue
         if p.order is not order:
             p = Polynomial(order, p.terms)
-        pending[_true_level(p)].append(Tagged(p, "input"))
+        pending[p.level()].append(Tagged(p, "input"))
 
     result = ProjectionLevels(order)
     for k in range(n, 0, -1):
@@ -381,23 +376,21 @@ def project_all(inputs, config: ProjectionConfig,
         basis = squarefree_basis([t.poly for t in raw])
         # the basis splits off main-variable contents, which live at a
         # lower level; route them there instead of keeping them here
-        for b in [b for b in basis if _true_level(b) < k]:
+        for b in [b for b in basis if b.level() < k]:
             src = tuple(str(t.poly) for t in raw
                         if not poly_gcd(b, t.poly).is_constant)
-            pending[_true_level(b)].append(Tagged(b, "content", src))
-        basis = [b for b in basis if _true_level(b) == k]
+            pending[b.level()].append(Tagged(b, "content", src))
+        basis = [b for b in basis if b.level() == k]
         result.by_level[k] = basis
         _attach_provenance(result, k, basis, raw)
         if k == 1 or not basis:
             continue
         var = order.names[k - 1]
         tagged = _run_step(basis, raw, clauses, config, var)
-        if step_hook is not None:
-            step_hook(k, tagged)
         for t in tagged:
             if t.poly.is_constant:
                 continue
-            pending[_true_level(t.poly)].append(t)
+            pending[t.poly.level()].append(t)
     return result
 
 

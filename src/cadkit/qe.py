@@ -10,15 +10,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import realalg
 from .cadcore import (
     CAD,
     Cell,
     CoordConstraint,
+    RootRef,
     build_cad,
     describe_cell,
-    indexed_root,
 )
+from .chains import compare_chain_coords
 from .formulas import (
     And,
     Atom,
@@ -34,8 +34,9 @@ from .formulas import (
     parse_formula,
     prenex,
 )
-from .polynomial import Polynomial, VarOrder, squarefree_part
+from .polynomial import VarOrder
 from .projection import ClauseSpec, ProjectionConfig
+from .realalg import RealAlgebraicNumber
 
 
 def evaluate_matrix(cad: CAD, matrix: Formula) -> Dict[Tuple[int, ...], bool]:
@@ -109,11 +110,6 @@ class ExtendedFormula:
         return self.text()
 
 
-def _nth_root(poly: Polynomial, var: str, prefix: Dict[str, Fraction],
-              index: int):
-    return indexed_root(poly, var, index, prefix)
-
-
 def _cell_holds(cell: Cell, assignment: Dict[str, Fraction]) -> bool:
     done: Dict[str, Fraction] = {}
     for con in cell.description:
@@ -128,24 +124,19 @@ def _constraint_holds(con: CoordConstraint, x: Fraction,
                       prefix: Dict[str, Fraction]) -> bool:
     if con.kind == "all":
         return True
+
+    def root_vs_x(r: RootRef) -> Optional[int]:
+        # sign of (root - x); None when the root does not exist
+        root = r.over(con.var, prefix)
+        if root is None:
+            return None
+        point = RealAlgebraicNumber.rational(x, con.var, r.poly.order)
+        return compare_chain_coords(root, point, con.var, [])
+
     if con.kind == "eq":
-        r = con.root
-        if r.value is not None:
-            return x == r.value
-        root = _nth_root(r.poly, con.var, prefix, r.index)
-        return root is not None and realalg.compare(root, x) == 0
-    ok = True
-    if con.lower is not None:
-        r = con.lower
-        bound = (r.value if r.value is not None
-                 else _nth_root(r.poly, con.var, prefix, r.index))
-        ok = ok and bound is not None and realalg.compare(bound, x) < 0
-    if con.upper is not None:
-        r = con.upper
-        bound = (r.value if r.value is not None
-                 else _nth_root(r.poly, con.var, prefix, r.index))
-        ok = ok and bound is not None and realalg.compare(bound, x) > 0
-    return ok
+        return root_vs_x(con.root) == 0
+    return ((con.lower is None or root_vs_x(con.lower) == -1) and
+            (con.upper is None or root_vs_x(con.upper) == 1))
 
 
 def synthesize(cad: CAD, truths: Dict[Tuple[int, ...], bool], k: int,

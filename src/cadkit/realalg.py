@@ -1,9 +1,13 @@
-"""Real root isolation and exact real algebraic numbers.
+"""Real root isolation over Q and the real algebraic number type.
 
 Isolation uses Descartes'-rule bisection on dyadic intervals after a
 Cauchy root bound; rational roots are split off first via the rational
 root theorem so bisection never lands on a root.  A Sturm-sequence
 implementation lives in the test suite as an independent oracle.
+
+Arithmetic on the numbers (refinement, comparison, signs of polynomials,
+rationals between two numbers) lives in ``chains``: a number over Q is a
+coordinate over the empty chain.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
-from .polynomial import (Polynomial, PolynomialError, poly_gcd,
-                         squarefree_decomposition, squarefree_part)
+from .polynomial import (Polynomial, VarOrder, poly_gcd,
+                         squarefree_decomposition)
 
 
 class RealAlgError(ValueError):
@@ -49,18 +53,34 @@ class Interval:
         return "(%s, %s)" % (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
 class RealAlgebraicNumber:
-    """A real root of a square-free univariate polynomial over Q.
+    """A real root of ``defining``, square-free in ``var``, inside an
+    isolating interval.
 
-    The isolating interval contains exactly one root of ``defining`` and
-    neither endpoint is a root.  ``multiplicity`` records the root's
-    multiplicity in the original (pre-square-free) polynomial.
+    ``defining`` may also mention earlier coordinates of a sample point
+    (see ``chains``); a number over Q mentions none.  An open interval
+    contains exactly one root of ``defining`` and neither endpoint is a
+    root; a point interval holds an exact rational value.  ``chains``
+    narrows the interval in place; the represented value never changes.
+    ``multiplicity`` records the root's multiplicity in the polynomial
+    before square-free reduction.
     """
 
-    defining: Polynomial
-    interval: Interval
-    multiplicity: int = 1
+    __slots__ = ("defining", "interval", "multiplicity", "var")
+
+    def __init__(self, defining: Polynomial, interval: Interval,
+                 multiplicity: int = 1, var: Optional[str] = None):
+        self.defining = defining
+        self.interval = interval
+        self.multiplicity = multiplicity
+        self.var = var if var is not None else defining.main_var()
+
+    @classmethod
+    def rational(cls, value: Fraction, var: str,
+                 order: VarOrder) -> "RealAlgebraicNumber":
+        """The exact rational ``value`` as a root of ``var - value``."""
+        p = Polynomial.var(order, var) - Polynomial.const(order, value)
+        return cls(p, Interval(value, value, "point"), var=var)
 
     @property
     def is_rational(self) -> bool:
@@ -71,39 +91,11 @@ class RealAlgebraicNumber:
             raise RealAlgError("not a known-rational value")
         return self.interval.lo
 
-    @property
-    def var(self) -> str:
-        v = self.defining.main_var()
-        if v is None:
-            raise RealAlgError("constant defining polynomial")
-        return v
-
-    def approx(self, digits: int = 6) -> float:
-        a = refine(self, Fraction(1, 10 ** (digits + 1)))
-        mid = (a.interval.lo + a.interval.hi) / 2
-        return float(mid)
-
-    def root_index(self) -> int:
-        """1-based index of this root among the real roots of ``defining``."""
-        roots = isolate_roots(self.defining)
-        for k, r in enumerate(roots, start=1):
-            if compare(r, self) == 0:
-                return k
-        raise RealAlgError("number is not a root of its defining polynomial")
-
-    def describe(self) -> str:
-        if self.is_rational:
-            return str(self.interval.lo)
-        return "RootOf(%s, %d) ~ %.6g" % (self.defining, self.root_index(),
-                                          self.approx())
-
     def __str__(self):
         if self.is_rational:
             return str(self.interval.lo)
-        return "RootOf(%s, %s)" % (self.defining, self.interval)
-
-
-AlgOrRat = Union[RealAlgebraicNumber, Fraction, int]
+        return "RootOf(%s in %s, %s)" % (self.defining, self.var,
+                                         self.interval)
 
 
 # -- univariate helpers on Fraction coefficient lists -------------------
@@ -219,7 +211,8 @@ def isolate_roots(p: Polynomial) -> List[RealAlgebraicNumber]:
 
     Returns one entry per distinct real root, sorted ascending, with
     pairwise-disjoint isolating intervals.  Known-rational roots come
-    back with point intervals.
+    back with point intervals; an open interval contains exactly one
+    root, and neither of its endpoints is a root.
     """
     if p.is_zero or p.is_constant:
         raise RealAlgError("cannot isolate roots of a constant")
@@ -257,22 +250,26 @@ def _isolate_squarefree(p: Polynomial, var: str) -> List[RealAlgebraicNumber]:
                 work = _deflate(work, mid)
             stack.append((lo, mid))
             stack.append((mid, hi))
-    out = [RealAlgebraicNumber(p, Interval(r, r, "point")) for r in points]
+    out = [RealAlgebraicNumber(p, Interval(r, r, "point"), var=var)
+           for r in points]
     for lo, hi, wp in open_iv:
         item = _shrink_away_from(lo, hi, wp, points)
         if isinstance(item, Fraction):
-            out.append(RealAlgebraicNumber(p, Interval(item, item, "point")))
+            iv = Interval(item, item, "point")
         else:
-            out.append(RealAlgebraicNumber(p, Interval(item[0], item[1])))
-    out.sort(key=_root_sort_key)
+            iv = Interval(item[0], item[1])
+        out.append(RealAlgebraicNumber(p, iv, var=var))
+    out.sort(key=lambda r: (r.interval.lo, r.interval.hi))
     return out
 
 
 def _shrink_away_from(lo, hi, coeffs, points):
-    """Bisect an isolating interval of ``coeffs`` until it excludes the
-    given rational points; the tracked root is not one of them."""
+    """Bisect an isolating interval of ``coeffs`` until neither its
+    interior nor its endpoints hold one of the given rational points;
+    the tracked root is not one of them, and ``coeffs`` (from which they
+    were deflated) does not vanish at ``lo``."""
     s_lo = _sign(_eval_coeffs(coeffs, lo))
-    while any(lo < r < hi for r in points):
+    while any(lo <= r <= hi for r in points):
         mid = (lo + hi) / 2
         v = _eval_coeffs(coeffs, mid)
         if v == 0:
@@ -294,167 +291,39 @@ def _deflate(coeffs: List[Fraction], root: Fraction) -> List[Fraction]:
     return out
 
 
-def _root_sort_key(r: RealAlgebraicNumber):
-    if r.is_rational:
-        v = r.interval.lo
-        return (v, v)
-    return (r.interval.lo, r.interval.hi)
-
-
 def isolate_with_multiplicity(p: Polynomial) -> List[RealAlgebraicNumber]:
     """Distinct real roots of arbitrary non-constant univariate ``p``.
 
-    Multiplicities come from the square-free decomposition; the roots of
-    different square-free factors are merged into one ascending list.
+    Intervals are as in ``isolate_roots``: an open one contains exactly
+    one root and neither endpoint is a root.  Each root is defined by the
+    square-free factor of ``p`` that it is a root of, and carries that
+    factor's multiplicity.  Yun's factors are pairwise coprime, so their
+    product is isolated once and each root is owned by the one factor
+    that vanishes at it (point) or changes sign across it (open).
     """
     if p.is_zero or p.is_constant:
         raise RealAlgError("cannot isolate roots of a constant")
     var = p.main_var()
-    merged: List[RealAlgebraicNumber] = []
-    for factor, mult in squarefree_decomposition(p, var):
-        for r in _isolate_squarefree(factor, var):
-            merged.append(RealAlgebraicNumber(r.defining, r.interval, mult))
-    return merge_roots(merged)
-
-
-def merge_roots(roots: List[RealAlgebraicNumber]) -> List[RealAlgebraicNumber]:
-    """Sort roots of possibly different polynomials; detect duplicates."""
-    out: List[RealAlgebraicNumber] = []
+    factors = squarefree_decomposition(p, var)
+    product = factors[0][0]
+    for factor, _ in factors[1:]:
+        product = product * factor
+    roots = _isolate_squarefree(product, var)
     for r in roots:
-        placed = False
-        for i, s in enumerate(out):
-            c = compare(r, s)
-            if c == 0:
-                placed = True
-                break
-            if c < 0:
-                out.insert(i, r)
-                placed = True
-                break
-        if not placed:
-            out.append(r)
-    return out
+        r.defining, r.multiplicity = (_owner(factors, r, var)
+                                      if len(factors) > 1 else factors[0])
+    return roots
 
 
-def refine(a: RealAlgebraicNumber, width: Fraction) -> RealAlgebraicNumber:
-    """Same number, isolating interval narrower than ``width``."""
-    if width <= 0:
-        raise RealAlgError("width must be positive")
-    if a.is_rational or a.interval.width < width:
-        return a
-    var = a.var
-    coeffs = a.defining.univariate_coeffs(var)
-    lo, hi = a.interval.lo, a.interval.hi
-    s_lo = _sign(_eval_coeffs(coeffs, lo))
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        v = _eval_coeffs(coeffs, mid)
-        if v == 0:
-            return RealAlgebraicNumber(a.defining, Interval(mid, mid, "point"),
-                                       a.multiplicity)
-        if _sign(v) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return RealAlgebraicNumber(a.defining, Interval(lo, hi), a.multiplicity)
-
-
-def _as_number(x: AlgOrRat):
-    if isinstance(x, RealAlgebraicNumber):
-        if x.is_rational:
-            return x.rational_value()
-        return x
-    return Fraction(x)
-
-
-def compare(a: AlgOrRat, b: AlgOrRat) -> int:
-    """Exact trichotomy: -1, 0, or 1 for a <, =, > b."""
-    a = _as_number(a)
-    b = _as_number(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return _sign(a - b)
-    if isinstance(a, Fraction):
-        return -_compare_alg_rat(b, a)
-    if isinstance(b, Fraction):
-        return _compare_alg_rat(a, b)
-    return _compare_alg_alg(a, b)
-
-
-def _compare_alg_rat(a: RealAlgebraicNumber, t: Fraction) -> int:
-    iv = a.interval
-    if t <= iv.lo:
-        return 1
-    if t >= iv.hi:
-        return -1
-    coeffs = a.defining.univariate_coeffs(a.var)
-    vt = _eval_coeffs(coeffs, t)
-    if vt == 0:
-        return 0
-    if _sign(vt) != _sign(_eval_coeffs(coeffs, iv.lo)):
-        return -1  # root lies in (lo, t)
-    return 1
-
-
-def _compare_alg_alg(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> int:
-    while True:
-        ia, ib = a.interval, b.interval
-        if ia.hi <= ib.lo:
-            return -1
-        if ib.hi <= ia.lo:
-            return 1
-        g = poly_gcd(a.defining, b.defining)
-        if not g.is_constant:
-            olo, ohi = max(ia.lo, ib.lo), min(ia.hi, ib.hi)
-            gc = g.univariate_coeffs(g.main_var())
-            if _sign(_eval_coeffs(gc, olo)) != _sign(_eval_coeffs(gc, ohi)):
-                return 0
-        a = refine(a, ia.width / 2)
-        b = refine(b, ib.width / 2)
-        if a.is_rational:
-            return -_compare_alg_rat(b, a.rational_value()) if not b.is_rational \
-                else _sign(a.rational_value() - b.rational_value())
-        if b.is_rational:
-            return _compare_alg_rat(a, b.rational_value())
-
-
-def sign_of_poly_at(q: Polynomial, a: RealAlgebraicNumber) -> int:
-    """Exact sign of a univariate rational polynomial at ``a``.
-
-    Zero is certified via gcd with the defining polynomial, never from a
-    small interval.
-    """
-    if q.is_zero:
-        return 0
-    if q.is_constant:
-        return _sign(q.constant_value())
-    if a.is_rational:
-        return _sign(q.evaluate({q.main_var(): a.rational_value()}))
-    var = a.var
-    if not q.variables() <= {var}:
-        raise RealAlgError("polynomial variable mismatch at algebraic point")
-    g = poly_gcd(q, a.defining)
-    if not g.is_constant:
-        gc = g.univariate_coeffs(var)
-        lo, hi = a.interval.lo, a.interval.hi
-        if _sign(_eval_coeffs(gc, lo)) != _sign(_eval_coeffs(gc, hi)):
-            return 0
-    qc = q.univariate_coeffs(var)
-    cur = a
-    while True:
-        lo, hi = cur.interval.lo, cur.interval.hi
-        s_lo = _sign(_eval_coeffs(qc, lo))
-        s_hi = _sign(_eval_coeffs(qc, hi))
-        if s_lo == s_hi and s_lo != 0:
-            # q has an even number of roots inside; rule them out
-            if _descartes_root_free(qc, lo, hi):
-                return s_lo
-        cur = refine(cur, cur.interval.width / 2)
-        if cur.is_rational:
-            return _sign(_eval_coeffs(qc, cur.rational_value()))
-
-
-def _descartes_root_free(coeffs, lo, hi) -> bool:
-    return _descartes_test(list(coeffs), lo, hi) == 0
+def _owner(factors, r: RealAlgebraicNumber, var: str):
+    # the factor that vanishes at a point root, or changes sign across an
+    # open interval (whose endpoints are roots of no factor)
+    lo, hi = r.interval.lo, r.interval.hi
+    for factor, mult in factors:
+        coeffs = factor.univariate_coeffs(var)
+        if _eval_coeffs(coeffs, lo) * _eval_coeffs(coeffs, hi) <= 0:
+            return factor, mult
+    raise RealAlgError("root owned by no square-free factor")
 
 
 def choose_sample(lo: Optional[Fraction], hi: Optional[Fraction],
@@ -493,29 +362,3 @@ def choose_sample(lo: Optional[Fraction], hi: Optional[Fraction],
                 k = k_hi
             return Fraction(k, d)
         d *= 2
-
-
-def sample_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fraction:
-    """A rational strictly between two distinct roots, a < b."""
-    while True:
-        ia, ib = a.interval, b.interval
-        lo_s, hi_s = ia.is_point, ib.is_point
-        if ia.hi < ib.lo or (ia.hi == ib.lo and not lo_s and not hi_s):
-            return choose_sample(ia.hi, ib.lo, lo_strict=lo_s, hi_strict=hi_s)
-        if lo_s and hi_s:
-            raise RealAlgError("sample_between needs a < b")
-        a = refine(a, ia.width / 2) if not lo_s else a
-        b = refine(b, ib.width / 2) if not hi_s else b
-
-
-def thom_encoding(p: Polynomial, r: RealAlgebraicNumber) -> tuple:
-    """Signs of p', p'', ... at the root r of p."""
-    var = p.main_var()
-    if sign_of_poly_at(p, r) != 0:
-        raise RealAlgError("point is not a root of the polynomial")
-    signs = []
-    q = p
-    for _ in range(p.degree(var)):
-        q = q.derivative(var)
-        signs.append(sign_of_poly_at(q, r))
-    return tuple(signs)

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -15,8 +14,10 @@ from cadkit.cadcore import (
     lift,
     trivial_cell,
 )
+from cadkit.chains import compare_chain_coords
 from cadkit.polynomial import Polynomial, parse_poly
 from cadkit.projection import ClauseSpec, ProjectionConfig
+from cadkit.realalg import RealAlgebraicNumber
 
 from conftest import assert_cad_well_formed, parabola_inputs, tti_inputs
 
@@ -123,6 +124,17 @@ class TestInvariants:
         assert cad.per_level_counts() == {1: 3, 2: 9, 3: 35, 4: 115}
         assert_cad_well_formed(cad, rng, points_per_cell=3)
 
+    def test_root_next_to_a_rational_root_lifts(self, rng):
+        # the resultant x*(225x^3 - 360x^2 - 136x + 175) has the rational
+        # root 0 between two irrational ones whose isolating intervals
+        # once ended at 0, so refinement kept the half without the root
+        # and the sector sample search never returned
+        polys = [parse_poly(t, XY)
+                 for t in ("-5*x^2 + 4*x + 7*y", "9*y^2 - x - 8*y")]
+        cad = build_cad(polys, ProjectionConfig("mccallum", XY))
+        assert cad.per_level_counts() == {1: 11, 2: 63}
+        assert_cad_well_formed(cad, rng, points_per_cell=5)
+
     def test_ec_lifting_coarsens(self):
         (g1, g2, g3, g4), order = tti_inputs()
         full = build_cad([g1, g2, g3, g4],
@@ -139,8 +151,8 @@ class TestDescriptionsAndRoots:
         p = parse_poly("x^2 + y^2 - 1", XY)
         r = indexed_root(p, "y", 1, {"x": Fraction(0)})
         assert r is not None
-        from cadkit.realalg import compare
-        assert compare(r, Fraction(-1)) == 0
+        minus_one = RealAlgebraicNumber.rational(Fraction(-1), "y", XY)
+        assert compare_chain_coords(r, minus_one, "y", []) == 0
         assert indexed_root(p, "y", 1, {"x": Fraction(2)}) is None
 
     def test_thom_language(self):
@@ -158,17 +170,3 @@ class TestDescriptionsAndRoots:
                     if r.value is not None:
                         # base must be the single point x = ±1
                         assert c.description[0].kind == "eq"
-
-
-class TestParallelism:
-    def test_jobs_env_does_not_change_result(self, monkeypatch):
-        polys, order = parabola_inputs()
-        monkeypatch.setenv("CADKIT_JOBS", "1")
-        serial = build_cad(polys, ProjectionConfig("mccallum", order))
-        monkeypatch.setenv("CADKIT_JOBS", "4")
-        parallel = build_cad(polys, ProjectionConfig("mccallum", order))
-        assert serial.per_level_counts() == parallel.per_level_counts()
-        assert [c.index for c in serial.cells(4)] == \
-               [c.index for c in parallel.cells(4)]
-        assert [c.signs for c in serial.cells(4)] == \
-               [c.signs for c in parallel.cells(4)]
