@@ -25,10 +25,8 @@ from .projection import (
     ProjectionConfig,
     ProjectionLevels,
     collins_step,
-    ec_step,
     mccallum_step,
     project_all,
-    tti_step,
 )
 from .cadcore import (
     CAD,

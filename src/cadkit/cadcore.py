@@ -18,7 +18,7 @@ from .polynomial import Polynomial, PolynomialError, VarOrder, squarefree_part
 from .chains import (
     SamplePoint,
     chain_reduce,
-    is_zero_chain_or_const,
+    is_zero_chain,
     isolate_chain,
     merge_chain_roots,
     sample_between,
@@ -164,7 +164,6 @@ def _root_ref(coord: RealAlgebraicNumber, members: Sequence[int],
 def build_stack(base: Cell, var: str,
                 split_polys: Sequence[Polynomial],
                 sign_polys: Sequence[Polynomial],
-                proj_sign_polys: Sequence[Polynomial] = (),
                 tolerate_nullification: bool = False) -> Stack:
     """Lift one base cell: isolate the roots of the splitting polynomials
     over its sample, interleave sectors, and record signs.
@@ -184,7 +183,7 @@ def build_stack(base: Cell, var: str,
         if prepared.degree(var) < 1:
             # every coefficient vanished, or the poly lost its main
             # variable at this sample without vanishing outright
-            if is_zero_chain_or_const(prepared, chain):
+            if is_zero_chain(prepared, chain):
                 if base.dimension > 0 and not tolerate_nullification:
                     raise NotWellOriented(base.index, p)
                 nullified.append(str(p))
@@ -192,6 +191,13 @@ def build_stack(base: Cell, var: str,
         groups.append(isolate_chain(prepared, var, chain))
         active.append(p)
     merged = merge_chain_roots(groups, var, chain)
+    nullified = tuple(nullified)
+
+    # the sign polynomials this level records: those not yet recorded
+    # below whose variables the new coordinate covers
+    k = base.level + 1
+    record = [(str(p), p) for p in sign_polys if p.level() <= k]
+    record = [(key, p) for key, p in record if key not in base.signs]
 
     # rank each root within its own polynomial's root list, from -inf
     seen: Dict[int, int] = {}
@@ -205,7 +211,8 @@ def build_stack(base: Cell, var: str,
 
     cells: List[Cell] = []
     coords = [c for c, _ in merged]
-    member_sets = [set(ms) for _, ms in merged]
+    active_keys = [str(p) for p in active]
+    member_keys = [tuple(active_keys[i] for i in ms) for _, ms in merged]
     for j in range(len(coords) + 1):
         left = coords[j - 1] if j > 0 else None
         right = coords[j] if j < len(coords) else None
@@ -216,37 +223,30 @@ def build_stack(base: Cell, var: str,
                               upper=refs[j] if j < len(coords) else None)
         if not refs:
             con = CoordConstraint(var, "all")
-        cells.append(_make_cell(base, 2 * j + 1, s, con, None, active,
-                                sign_polys, proj_sign_polys, nullified))
+        cells.append(_make_cell(base, 2 * j + 1, s, con, record, nullified))
         if j < len(coords):
             s = sample.extend(coords[j])
             con = CoordConstraint(var, "eq", root=refs[j])
-            cells.append(_make_cell(base, 2 * j + 2, s, con, member_sets[j],
-                                    active, sign_polys, proj_sign_polys,
-                                    nullified))
+            cells.append(_make_cell(base, 2 * j + 2, s, con, record,
+                                    nullified, member_keys[j]))
     return Stack(base.index, cells)
 
 
 def _make_cell(base: Cell, pos: int, sample: SamplePoint,
-               con: CoordConstraint, members: Optional[set],
-               active: Sequence[Polynomial],
-               sign_polys: Sequence[Polynomial],
-               proj_sign_polys: Sequence[Polynomial],
-               nullified: Sequence[str]) -> Cell:
+               con: CoordConstraint,
+               record: Sequence[Tuple[str, Polynomial]],
+               nullified: Tuple[str, ...],
+               members: Tuple[str, ...] = ()) -> Cell:
+    # the nullified and member polynomials vanish on the cell; the sample
+    # decides the signs of the (key, polynomial) pairs in ``record``
     signs = dict(base.signs)
-    for name in nullified:
-        signs[name] = 0
-    if members is not None:
-        for i in members:
-            signs[str(active[i])] = 0
-    k = len(sample.coords)
-    for p in list(sign_polys) + list(proj_sign_polys):
-        key = str(p)
-        if key in signs or p.level() > k:
-            continue
-        signs[key] = sample.sign_of(p)
+    for key in nullified + members:
+        signs[key] = 0
+    for key, p in record:
+        if key not in signs:
+            signs[key] = sample.sign_of(p)
     return Cell(base.index + (pos,), sample, signs,
-                base.description + (con,), tuple(nullified))
+                base.description + (con,), nullified)
 
 
 # -- base case and full builds ------------------------------------------
@@ -267,7 +267,6 @@ def base_cad(p1: Sequence[Polynomial], order: VarOrder,
 def lift(cad: CAD, pk: Sequence[Polynomial], mode: str = "full",
          ecs: Sequence[Polynomial] = (),
          sign_polys: Sequence[Polynomial] = (),
-         store_proj_signs: bool = False,
          tolerate_nullification: bool = False) -> CAD:
     """Extend a CAD of R^{k-1} to R^k.  In ec-reduced mode only the
     designated equational constraints split the cylinders; everything
@@ -280,12 +279,11 @@ def lift(cad: CAD, pk: Sequence[Polynomial], mode: str = "full",
             split = list(pk)
     else:
         split = list(pk)
-    extra = [p for p in pk if str(p) not in {str(q) for q in split}]
-    proj_signs = list(pk) if store_proj_signs else []
+    # what does not split the cylinders has its sign recorded instead
+    tracked = list(sign_polys) + [p for p in pk if p not in split]
     new_cells: List[Cell] = []
     for base in cad.cells(k - 1):
-        new_cells.extend(build_stack(base, var, split,
-                                     list(sign_polys) + extra, proj_signs,
+        new_cells.extend(build_stack(base, var, split, tracked,
                                      tolerate_nullification).cells)
     out = CAD(cad.order, cad.levels, dict(cad.cells_by_level),
               dict(cad.splitters), cad.invariance_kind)
@@ -303,7 +301,7 @@ def _shares_factor(p: Polynomial, ecs: Sequence[Polynomial]) -> bool:
 
 
 def build_cad(inputs, config: ProjectionConfig, lifting: str = "full",
-              fallback: str = "abort", store_proj_signs: bool = False,
+              fallback: str = "abort",
               sign_polys: Optional[Sequence[Polynomial]] = None,
               timings: Optional[Dict[str, float]] = None) -> CAD:
     """Projection, base and lifting in one call.
@@ -313,15 +311,13 @@ def build_cad(inputs, config: ProjectionConfig, lifting: str = "full",
     rebuilds with the Collins operator and full lifting.
     """
     try:
-        return _build_cad(inputs, config, lifting, store_proj_signs,
-                          sign_polys, timings)
+        return _build_cad(inputs, config, lifting, sign_polys, timings)
     except NotWellOriented:
         if fallback != "restart-with-collins" or config.operator == "collins":
             raise
         collins = ProjectionConfig("collins", config.order)
         flat = _flatten_inputs(inputs)
-        return _build_cad(flat, collins, "full", store_proj_signs,
-                          sign_polys, timings)
+        return _build_cad(flat, collins, "full", sign_polys, timings)
 
 
 def _flatten_inputs(inputs):
@@ -334,8 +330,7 @@ def _flatten_inputs(inputs):
     return out
 
 
-def _build_cad(inputs, config, lifting, store_proj_signs, sign_polys,
-               timings=None):
+def _build_cad(inputs, config, lifting, sign_polys, timings=None):
     if timings is None:
         timings = {}
     t0 = time.perf_counter()
@@ -356,8 +351,7 @@ def _build_cad(inputs, config, lifting, store_proj_signs, sign_polys,
         mode = "ec" if (lifting == "ec" and
                         any(e.level() == k for e in ecs)) else "full"
         level_ecs = [e for e in ecs if e.level() == k]
-        cad = lift(cad, levels.at_level(k), mode, level_ecs,
-                   sign_polys, store_proj_signs,
+        cad = lift(cad, levels.at_level(k), mode, level_ecs, sign_polys,
                    tolerate_nullification=config.operator == "collins")
     timings["lifting"] = time.perf_counter() - t0
     if config.operator == "tti":

@@ -78,7 +78,7 @@ def refine_coord(coord: RealAlgebraicNumber, prefix: Chain) -> None:
     v_mid = coord.defining.substitute({coord.var: mid})
     s_mid = sign_at_chain(v_mid, prefix)
     if s_mid == 0:
-        coord.interval = Interval(mid, mid, "point")
+        coord.interval = Interval(mid, mid)
         return
     v_lo = coord.defining.substitute({coord.var: iv.lo})
     if sign_at_chain(v_lo, prefix) == s_mid:
@@ -308,8 +308,7 @@ def _isolate_squarefree_chain(f: Polynomial, v: str,
         mid = (lo + hi) / 2
         if is_zero_chain(f.substitute({v: mid}), prefix):
             # exact rational root at the bisection point: record and deflate
-            roots.append(RealAlgebraicNumber(f, Interval(mid, mid, "point"),
-                                             var=v))
+            roots.append(RealAlgebraicNumber(f, Interval(mid, mid), var=v))
             divisor = Polynomial.var(f.order, v) - Polynomial.const(f.order, mid)
             quo, _ = pseudo_divmod(f, divisor, v)
             quo = chain_reduce(_shrink(quo), v, prefix)
@@ -507,9 +506,6 @@ class SamplePoint:
             return (v > 0) - (v < 0)
         return sign_at_chain(self.prepare(p), ch)
 
-    def is_zero(self, p: Polynomial) -> bool:
-        return is_zero_chain_or_const(self.prepare(p), self.chain())
-
     def coord_str(self, i: int) -> str:
         c = self.coords[i]
         if isinstance(c, Fraction):
@@ -520,12 +516,6 @@ class SamplePoint:
 
     def __str__(self):
         return "(" + ", ".join(self.coord_str(i) for i in range(len(self.coords))) + ")"
-
-
-def is_zero_chain_or_const(q: Polynomial, chain: Chain) -> bool:
-    if q.is_constant:
-        return q.is_zero
-    return is_zero_chain(q, chain)
 
 
 def sign_at(p: Polynomial, s: SamplePoint) -> int:

@@ -69,6 +69,11 @@ def _parse_order(spec: str) -> VarOrder:
     return VarOrder(names)
 
 
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _read_polys(path: str, order: VarOrder) -> List[Polynomial]:
     out = []
     with open(path) as fh:
@@ -108,7 +113,7 @@ def _report_cad(report: RunReport, cad: CAD, fmt: str,
 
 
 def _clauses_from_file(path: str, order: VarOrder):
-    matrix = parse_formula(open(path).read().strip(), order)
+    matrix = parse_formula(_read_text(path).strip(), order)
     clauses = _formula_clauses(matrix)
     if clauses is None:
         raise FormulaError("file %s has no clause structure" % path)
@@ -132,7 +137,7 @@ def _inputs(args, order: VarOrder):
 def cmd_cad(args) -> int:
     order = _parse_order(args.order)
     inputs = _inputs(args, order)
-    src = open(args.input or args.clauses).read()
+    src = _read_text(args.input or args.clauses)
     report = RunReport("cad", _digest(src),
                        {"order": list(order.names),
                         "operator": args.operator,
@@ -155,16 +160,15 @@ def cmd_project(args) -> int:
     if args.format == "json":
         payload = []
         for k in range(len(order.names), 0, -1):
-            payload.append({
-                "level": k,
-                "polys": [{
+            polys = []
+            for p in levels.at_level(k):
+                tags = levels.tags_for(k, p)
+                polys.append({
                     "text": str(p),
-                    "provenance": sorted({t.tag
-                                          for t in levels.tags_for(k, p)}),
-                    "parents": sorted({pp for t in levels.tags_for(k, p)
-                                       for pp in t.parents}),
-                } for p in levels.at_level(k)],
-            })
+                    "provenance": sorted({t.tag for t in tags}),
+                    "parents": sorted({pp for t in tags for pp in t.parents}),
+                })
+            payload.append({"level": k, "polys": polys})
         print(json.dumps(payload, indent=2))
     else:
         for k in range(len(order.names), 0, -1):
@@ -177,7 +181,7 @@ def cmd_project(args) -> int:
 
 def cmd_qe(args) -> int:
     order = _parse_order(args.order)
-    text = open(args.input).read().strip() if args.input else args.formula
+    text = _read_text(args.input).strip() if args.input else args.formula
     if not text:
         raise FormulaError("no formula given")
     report = RunReport("qe", _digest(text),
@@ -207,7 +211,7 @@ def cmd_qe(args) -> int:
 
 
 def cmd_ccd_validate(args) -> int:
-    tree = parse_tree(open(args.input).read())
+    tree = parse_tree(_read_text(args.input))
     rep = validate_separation(tree, probes=args.probes, seed=args.seed)
     payload = {"leaves": tree.leaf_count(), "checked": rep.checked,
                "ok": rep.ok, "violations": rep.violations,
@@ -226,7 +230,7 @@ def cmd_ccd_validate(args) -> int:
 
 
 def cmd_ccd_realize(args) -> int:
-    src = open(args.input).read()
+    src = _read_text(args.input)
     tree = parse_tree(src)
     report = RunReport("ccd-realize", _digest(src),
                        {"order": list(tree.order.names)})
@@ -304,7 +308,7 @@ def _fixtures() -> List[tuple]:
         return cad.cell_count() == 115
 
     def parabola_ccd():
-        tree = parse_tree(open(_fixture_path("parabola.ccd")).read())
+        tree = parse_tree(_read_text(_fixture_path("parabola.ccd")))
         return make_semialgebraic(tree).cell_count() == 27
 
     def tti_projection_counts():

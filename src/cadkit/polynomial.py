@@ -387,7 +387,8 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()]))"
 
 
 def parse_poly(text: str, order: VarOrder) -> Polynomial:
-    """Parse ``+ - * / ^`` expressions over integers and named variables."""
+    """Parse ``+ - * / ^`` expressions over integers and named variables;
+    division only by nonzero constants."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -440,6 +441,8 @@ def parse_poly(text: str, order: VarOrder) -> Polynomial:
             rhs = parse_factor()
             if op == "*":
                 node = node * rhs
+            elif rhs.is_zero:
+                raise PolynomialError("division by zero in %r" % text)
             else:
                 node = node * Polynomial.const(order, Fraction(1) / rhs.constant_value())
         return node

@@ -1,11 +1,14 @@
-"""Projection operators producing the level sets P_n .. P_1 with provenance.
+"""Projection operators producing the level sets P_n .. P_1.
 
 Four operators are provided: the classical Collins operator (reducta and
 principal subresultant coefficients), the reduced McCallum operator
 (coefficients, discriminants, cross resultants), the equational-constraint
 operator, and the truth-table-invariant operator for clause lists.  Every
-step tags its output polynomials with how they arose, and ``project_all``
-assembles the full tower, placing each polynomial at its true level.
+step tags its output polynomials with how they arose.  ``project_all``
+assembles the full tower, placing each polynomial at its true level and
+keeping each level's tagged inputs, from which
+``ProjectionLevels.tags_for`` derives a basis polynomial's provenance when
+it is asked for.
 """
 
 from __future__ import annotations
@@ -75,25 +78,25 @@ class ProjectionConfig:
 
 @dataclass
 class ProjectionLevels:
-    """The projection tower.  ``levels`` runs P_n first, P_1 last."""
+    """The projection tower: ``by_level[k]`` is the square-free basis P_k,
+    and ``raw[k]`` the tagged polynomials it was computed from."""
 
     order: VarOrder
     by_level: Dict[int, List[Polynomial]] = field(default_factory=dict)
-    provenance: Dict[Tuple[int, str], List[Tagged]] = field(default_factory=dict)
+    raw: Dict[int, List[Tagged]] = field(default_factory=dict)
 
     @property
     def nvars(self) -> int:
         return len(self.order.names)
 
-    @property
-    def levels(self) -> List[List[Polynomial]]:
-        return [self.by_level.get(k, []) for k in range(self.nvars, 0, -1)]
-
     def at_level(self, k: int) -> List[Polynomial]:
         return self.by_level.get(k, [])
 
     def tags_for(self, k: int, p: Polynomial) -> List[Tagged]:
-        return self.provenance.get((k, str(p)), [])
+        """The level-k inputs that share a factor with ``p``: how the
+        basis polynomial ``p`` arose."""
+        return [t for t in self.raw.get(k, [])
+                if not poly_gcd(p, t.poly).is_constant]
 
     def counts(self) -> Dict[int, int]:
         return {k: len(v) for k, v in sorted(self.by_level.items())}
@@ -308,39 +311,15 @@ def det_bareiss(rows: List[List[Polynomial]]) -> Polynomial:
 
 # -- basis reduction and the public steps -------------------------------
 
-def finalize_step(tagged: Sequence[Tagged]) -> List[Polynomial]:
-    return squarefree_basis([t.poly for t in tagged])
-
-
 def mccallum_step(polys: Sequence[Polynomial], var: str) -> List[Polynomial]:
-    return finalize_step(mccallum_tagged(polys, var))
+    return squarefree_basis([t.poly for t in mccallum_tagged(polys, var)])
 
 
 def collins_step(polys: Sequence[Polynomial], var: str) -> List[Polynomial]:
-    return finalize_step(collins_tagged(polys, var))
-
-
-def ec_step(clause: ClauseSpec, var: str) -> List[Polynomial]:
-    return finalize_step(ec_tagged(clause, var))
-
-
-def tti_step(clauses: Sequence[ClauseSpec], var: str) -> List[Polynomial]:
-    return finalize_step(tti_tagged(clauses, var))
+    return squarefree_basis([t.poly for t in collins_tagged(polys, var)])
 
 
 # -- the full tower -----------------------------------------------------
-
-def _attach_provenance(result: ProjectionLevels, k: int,
-                       basis: Sequence[Polynomial],
-                       raw: Sequence[Tagged]) -> None:
-    for b in basis:
-        hits = []
-        for t in raw:
-            g = poly_gcd(b, t.poly)
-            if not g.is_constant:
-                hits.append(t)
-        result.provenance[(k, str(b))] = hits
-
 
 def project_all(inputs, config: ProjectionConfig) -> ProjectionLevels:
     """Run projection from the top level down to the univariate set.
@@ -382,7 +361,7 @@ def project_all(inputs, config: ProjectionConfig) -> ProjectionLevels:
             pending[b.level()].append(Tagged(b, "content", src))
         basis = [b for b in basis if b.level() == k]
         result.by_level[k] = basis
-        _attach_provenance(result, k, basis, raw)
+        result.raw[k] = raw
         if k == 1 or not basis:
             continue
         var = order.names[k - 1]

@@ -42,29 +42,31 @@ from .realalg import RealAlgebraicNumber
 def evaluate_matrix(cad: CAD, matrix: Formula) -> Dict[Tuple[int, ...], bool]:
     """Truth of the quantifier-free matrix on every top-level cell,
     read off the stored signs."""
-    polys = {str(a.poly) for a in atoms_of(matrix)}
+    keys = {a.poly: str(a.poly) for a in atoms_of(matrix)
+            if not a.poly.is_constant}
+    needed = sorted(set(keys.values()))
     out = {}
     for cell in cad.cells():
-        missing = polys - set(cell.signs)
+        missing = [key for key in needed if key not in cell.signs]
         if missing:
-            raise FormulaError("signs not tracked for %s" % sorted(missing))
+            raise FormulaError("signs not tracked for %s" % missing)
 
         def sign(p, _signs=cell.signs):
             if p.is_constant:
                 v = p.constant_value()
                 return (v > 0) - (v < 0)
-            return _signs[str(p)]
+            return _signs[keys[p]]
 
         out[cell.index] = evaluate_formula(matrix, sign)
     return out
 
 
 def propagate(cad: CAD, blocks: Sequence[Tuple[str, Sequence[str]]],
-              truths: Dict[Tuple[int, ...], bool],
-              keep_levels: bool = False):
+              truths: Dict[Tuple[int, ...], bool]
+              ) -> Dict[int, Dict[Tuple[int, ...], bool]]:
     """Fold quantifier blocks over the stacks, innermost first, one
-    variable (one CAD level) at a time.  Returns the truth table at the
-    free-variable level, or all intermediate tables when asked."""
+    variable (one CAD level) at a time.  Returns the truth table of every
+    level from the top down to the free-variable level, keyed by level."""
     level = cad.nvars
     tables = {level: truths}
     for kind, vars_ in reversed(list(blocks)):
@@ -79,7 +81,7 @@ def propagate(cad: CAD, blocks: Sequence[Tuple[str, Sequence[str]]],
             level -= 1
             truths = merged
             tables[level] = truths
-    return tables if keep_levels else truths
+    return tables
 
 
 @dataclass
@@ -258,7 +260,7 @@ def qe(f, order: VarOrder, operator: str = "mccallum",
                     sign_polys=polys, timings=timings)
     t0 = time.perf_counter()
     leaf = evaluate_matrix(cad, pf.matrix)
-    tables = propagate(cad, pf.blocks, leaf, keep_levels=True)
+    tables = propagate(cad, pf.blocks, leaf)
     if timings is not None:
         timings["propagation"] = time.perf_counter() - t0
     result = synthesize(cad, tables[k], k, language, merge_adjacent)

@@ -27,21 +27,18 @@ class RealAlgError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
+    """The open interval (lo, hi) when lo < hi; the point lo when lo == hi."""
+
     lo: Fraction
     hi: Fraction
-    kind: str = "open"  # "open" | "point"
 
     def __post_init__(self):
-        if self.kind not in ("open", "point"):
-            raise RealAlgError("bad interval kind %r" % self.kind)
         if self.lo > self.hi:
             raise RealAlgError("interval endpoints out of order")
-        if self.kind == "point" and self.lo != self.hi:
-            raise RealAlgError("point interval must have equal endpoints")
 
     @property
     def is_point(self) -> bool:
-        return self.kind == "point"
+        return self.lo == self.hi
 
     @property
     def width(self) -> Fraction:
@@ -80,7 +77,7 @@ class RealAlgebraicNumber:
                  order: VarOrder) -> "RealAlgebraicNumber":
         """The exact rational ``value`` as a root of ``var - value``."""
         p = Polynomial.var(order, var) - Polynomial.const(order, value)
-        return cls(p, Interval(value, value, "point"), var=var)
+        return cls(p, Interval(value, value), var=var)
 
     @property
     def is_rational(self) -> bool:
@@ -250,12 +247,12 @@ def _isolate_squarefree(p: Polynomial, var: str) -> List[RealAlgebraicNumber]:
                 work = _deflate(work, mid)
             stack.append((lo, mid))
             stack.append((mid, hi))
-    out = [RealAlgebraicNumber(p, Interval(r, r, "point"), var=var)
+    out = [RealAlgebraicNumber(p, Interval(r, r), var=var)
            for r in points]
     for lo, hi, wp in open_iv:
         item = _shrink_away_from(lo, hi, wp, points)
         if isinstance(item, Fraction):
-            iv = Interval(item, item, "point")
+            iv = Interval(item, item)
         else:
             iv = Interval(item[0], item[1])
         out.append(RealAlgebraicNumber(p, iv, var=var))

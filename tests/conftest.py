@@ -69,6 +69,22 @@ def assert_cad_well_formed(cad: CAD, rng, points_per_cell=20):
                     "sign of %s not invariant on cell %s" % (key, cell.index)
 
 
+def assert_sign_table(cad: CAD, tracked):
+    """Every cell holds a sign for each tracked polynomial of level at
+    most its own, and that sign is the polynomial's exact sign at the
+    cell's sample."""
+    from cadkit.chains import sign_at
+
+    for k in sorted(cad.cells_by_level):
+        due = [p for p in tracked if p.level() <= k]
+        for cell in cad.cells(k):
+            for p in due:
+                assert str(p) in cell.signs, \
+                    "no sign of %s on cell %s" % (p, cell.index)
+                assert cell.signs[str(p)] == sign_at(p, cell.sample), \
+                    "wrong sign of %s on cell %s" % (p, cell.index)
+
+
 def parabola_inputs():
     order = VarOrder(("a", "b", "c", "x"))
     return [parse_poly("a*x^2 + b*x + c", order)], order

@@ -19,7 +19,8 @@ from cadkit.polynomial import Polynomial, parse_poly
 from cadkit.projection import ClauseSpec, ProjectionConfig
 from cadkit.realalg import RealAlgebraicNumber
 
-from conftest import assert_cad_well_formed, parabola_inputs, tti_inputs
+from conftest import (assert_cad_well_formed, assert_sign_table,
+                      parabola_inputs, tti_inputs)
 
 XY = VarOrder(("x", "y"))
 
@@ -48,6 +49,22 @@ class TestBaseAndStacks:
         inside = [c for c in cad.cells(2) if c.signs[str(p)] < 0]
         on = [c for c in cad.cells(2) if c.signs[str(p)] == 0]
         assert len(inside) == 1 and len(on) == 4
+
+    def test_circle_sign_table(self):
+        cad, p = circle_cad()
+        assert_sign_table(cad, [p])
+
+    def test_ec_lifting_sign_table(self):
+        # ec lifting splits only by the equational constraints; the other
+        # projection factors of the level have their signs recorded
+        (g1, g2, g3, g4), order = tti_inputs()
+        clauses = [ClauseSpec(g1, (g2,)), ClauseSpec(g4, (g3,))]
+        cad = build_cad(clauses, ProjectionConfig("tti", order),
+                        lifting="ec")
+        extra = [p for p in cad.levels.at_level(2)
+                 if p not in cad.splitters[2]]
+        assert extra
+        assert_sign_table(cad, [g1, g2, g3, g4] + extra)
 
     def test_sections_have_descriptions(self):
         cad, p = circle_cad()

@@ -11,7 +11,7 @@ from cadkit.ccd import (
 )
 from cadkit.cadcore import cylindricity_check
 
-from conftest import assert_cad_well_formed
+from conftest import assert_cad_well_formed, assert_sign_table
 
 
 def parabola_source():
@@ -127,6 +127,10 @@ class TestRealization:
                 point = random_point_in_cell(cad, cell, rng)
                 v = p.evaluate(point)
                 assert ((v > 0) - (v < 0)) == cell.signs[str(p)]
+
+    def test_parabola_sign_table(self):
+        tree = parse_tree(parabola_source())
+        assert_sign_table(make_semialgebraic(tree), tree.tracked)
 
     def test_circle_tree_realizes(self):
         src = tree_2d('''

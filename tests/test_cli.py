@@ -19,6 +19,13 @@ class TestExitCodes:
                            "--order", "x,y")
         assert code == 2 and err
 
+    def test_usage_error_division_by_zero(self, tmp_path, capsys):
+        bad = tmp_path / "bad.poly"
+        bad.write_text("x/0 + y\n")
+        code, _, err = run(capsys, "cad", "--input", str(bad),
+                           "--order", "x,y")
+        assert code == 2 and "division by zero" in err
+
     def test_usage_error_missing_file(self, capsys):
         code, _, err = run(capsys, "cad", "--input", "/nonexistent.poly",
                            "--order", "x,y")
@@ -87,6 +94,26 @@ class TestOtherVerbs:
         code, out, _ = run(capsys, "project", "--input", str(f),
                            "--order", "a,b,c,x")
         assert code == 0 and "4*a*c - b^2" in out
+
+    def test_project_json_provenance(self, tmp_path, capsys):
+        f = tmp_path / "p.poly"
+        f.write_text("a*x^2 + b*x + c\n")
+        code, out, _ = run(capsys, "project", "--input", str(f),
+                           "--order", "a,b,c,x", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [lv["level"] for lv in doc] == [4, 3, 2, 1]
+        got = {p["text"]: (lv["level"], p["provenance"], p["parents"])
+               for lv in doc for p in lv["polys"]}
+        quad = "a*x^2 + b*x + c"
+        assert got == {
+            quad: (4, ["input"], []),
+            "c": (3, ["coefficient"], [quad]),
+            "4*a*c - b^2": (3, ["discriminant"], [quad]),
+            "b": (2, ["coefficient", "resultant"],
+                  ["4*a*c - b^2", quad, "c"]),
+            "a": (1, ["coefficient"], ["4*a*c - b^2", quad]),
+        }
 
     def test_qe_inline_formula(self, capsys):
         code, out, _ = run(capsys, "qe", "exists y. y^2 = x",

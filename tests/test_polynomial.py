@@ -44,6 +44,14 @@ class TestBasics:
         with pytest.raises(PolynomialError):
             P("z + 1")  # unknown variable
 
+    def test_parse_rejects_division_by_zero(self):
+        for text in ("x/0 + y", "x/(y - y)", "1/(2 - 2)"):
+            with pytest.raises(PolynomialError):
+                P(text)
+        with pytest.raises(PolynomialError):
+            P("x/y")  # only constant divisors
+        assert P("x/2 + y") == P("y + x/2")
+
     def test_arithmetic_identities(self):
         p, q = P("x^2 - y"), P("x*y + 3")
         assert (p + q) - q == p

@@ -100,13 +100,15 @@ class TestPropagation:
         cad = build_cad([p], ProjectionConfig("mccallum", XY))
         matrix = parse_formula("x^2 + y^2 - 1 < 0", XY)
         leaf = evaluate_matrix(cad, matrix)
-        got = propagate(cad, [("exists", ["y"])], leaf)
+        tables = propagate(cad, [("exists", ["y"])], leaf)
+        assert tables[2] == leaf
+        got = tables[1]
         # brute force: group level-2 truths by their base index
         expect = {}
         for idx, t in leaf.items():
             expect[idx[:1]] = expect.get(idx[:1], False) or t
         assert got == expect
-        got_all = propagate(cad, [("forall", ["y"])], leaf)
+        got_all = propagate(cad, [("forall", ["y"])], leaf)[1]
         expect_all = {}
         for idx, t in leaf.items():
             expect_all[idx[:1]] = expect_all.get(idx[:1], True) and t
@@ -118,6 +120,16 @@ class TestQE:
         r = qe("exists y. y^2 = x", XY)
         texts = sorted(c.describe() for c in r.formula.cells)
         assert texts == ["0 < x", "x = 0"]
+        sample_equiv(r.formula, lambda a: a["x"] >= 0, ["x"], rng)
+
+    def test_constant_atoms(self, rng):
+        X = VarOrder(("x",))
+        for text, want in [("exists x. x^2 - 2 = 0 /\\ 1 > 0", True),
+                           ("exists x. x^2 - 2 = 0 /\\ 0 < 1", True),
+                           ("exists x. x^2 - 2 = 0 /\\ 0 = 1", False),
+                           ("exists x. x^2 - 2 = 0 \\/ 0 = 1", True)]:
+            assert qe(text, X).is_true is want, text
+        r = qe("exists y. y^2 = x /\\ 1 > 0", XY)
         sample_equiv(r.formula, lambda a: a["x"] >= 0, ["x"], rng)
 
     def test_universal_sentence_true(self):
