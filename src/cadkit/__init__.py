@@ -17,7 +17,6 @@ from .realalg import (
     RealAlgebraicNumber,
     choose_sample,
     isolate_roots,
-    isolate_with_multiplicity,
 )
 from .chains import SamplePoint, sample_between, sign_at, thom_encoding
 from .projection import (

@@ -174,7 +174,7 @@ def build_stack(base: Cell, var: str,
     vanishing at the sample implies vanishing on the whole cylinder and
     recording sign 0 is sound."""
     sample = base.sample
-    chain = sample.chain()
+    chain = sample.chain
     groups: List[List[RealAlgebraicNumber]] = []
     active: List[Polynomial] = []
     nullified = list(base.nullified)

@@ -26,6 +26,7 @@ from .polynomial import (
 )
 from .cadcore import CAD, Cell, build_stack, trivial_cell
 from .projection import ProjectionLevels
+from .realalg import isolate_roots
 
 
 class CCDError(PolynomialError):
@@ -300,11 +301,9 @@ def _solve_rational(p: Polynomial, var: str, prefix: Dict[str, Fraction],
         return -coeffs[0] / coeffs[1]
     if all(c == 0 for c in coeffs):
         return rng.choice(_GRID)
-    from .realalg import isolate_roots
     if len(coeffs) <= 1:
         return None
-    roots = [r for r in isolate_roots(squarefree_part(q))
-             if r.interval.is_point]
+    roots = [r for r in isolate_roots(q) if r.interval.is_point]
     if roots:
         return rng.choice(roots).interval.lo
     return None

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .polynomial import Polynomial, PolynomialError, pseudo_divmod
 from .realalg import (Interval, RealAlgebraicNumber, RealAlgError,
-                      choose_sample, isolate_with_multiplicity)
+                      choose_sample, isolate_roots)
 
 _ZERO = Fraction(0)
 
@@ -283,7 +283,7 @@ def isolate_chain(f: Polynomial, v: str,
     if not prefix:
         # fully rational point: the Descartes isolator is faster and
         # pins down rational roots as exact point intervals
-        return isolate_with_multiplicity(f)
+        return isolate_roots(f)
     g = chain_gcd(f, f.derivative(v), v, prefix)
     if g is not None and g.degree(v) >= 1:
         q, _ = pseudo_divmod(f, g, v)
@@ -467,55 +467,48 @@ def thom_encoding(p: Polynomial, r: RealAlgebraicNumber) -> tuple:
 # -- sample points ------------------------------------------------------
 
 class SamplePoint:
-    """An explicit point with a triangular chain of defining polynomials."""
+    """An explicit point: one coordinate per level, each a ``Fraction``
+    or a ``RealAlgebraicNumber`` over the algebraic coordinates before it.
 
-    __slots__ = ("order", "coords")
+    A coordinate keeps its type, so the split is made once: ``assignment``
+    maps the variables of the rational coordinates to their values, and
+    ``chain`` lists the algebraic coordinates, over which sign queries
+    run.  ``extend`` stores a root already known to be rational as its
+    ``Fraction``; an algebraic coordinate that refinement later proves
+    rational stays on the chain.
+    """
+
+    __slots__ = ("order", "coords", "assignment", "chain")
 
     def __init__(self, order, coords: Sequence[Coord] = ()):
         self.order = order
         self.coords = tuple(coords)
+        self.assignment = {order.names[i]: c
+                           for i, c in enumerate(self.coords)
+                           if isinstance(c, Fraction)}
+        self.chain = [c for c in self.coords
+                      if isinstance(c, RealAlgebraicNumber)]
 
     def extend(self, coord: Coord) -> "SamplePoint":
+        if isinstance(coord, RealAlgebraicNumber) and coord.is_rational:
+            coord = coord.rational_value()
         return SamplePoint(self.order, self.coords + (coord,))
 
     def __len__(self):
         return len(self.coords)
 
-    def rational_assignment(self) -> dict:
-        """Variable -> value for the rational coordinates."""
-        out = {}
-        for i, c in enumerate(self.coords):
-            if isinstance(c, Fraction):
-                out[self.order.names[i]] = c
-            elif c.is_rational:
-                out[self.order.names[i]] = c.rational_value()
-        return out
-
-    def chain(self) -> Chain:
-        return [c for c in self.coords
-                if isinstance(c, RealAlgebraicNumber) and not c.is_rational]
-
     def prepare(self, p: Polynomial) -> Polynomial:
-        return p.substitute(self.rational_assignment())
+        return p.substitute(self.assignment)
 
     def sign_of(self, p: Polynomial) -> int:
-        ch = self.chain()
-        if not ch:
+        if not self.chain:
             # all-rational sample: plain evaluation, no polynomial algebra
-            v = p.evaluate(self.rational_assignment())
+            v = p.evaluate(self.assignment)
             return (v > 0) - (v < 0)
-        return sign_at_chain(self.prepare(p), ch)
-
-    def coord_str(self, i: int) -> str:
-        c = self.coords[i]
-        if isinstance(c, Fraction):
-            return str(c)
-        if c.is_rational:
-            return str(c.rational_value())
-        return str(c)
+        return sign_at_chain(self.prepare(p), self.chain)
 
     def __str__(self):
-        return "(" + ", ".join(self.coord_str(i) for i in range(len(self.coords))) + ")"
+        return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 def sign_at(p: Polynomial, s: SamplePoint) -> int:

@@ -87,7 +87,7 @@ def _read_polys(path: str, order: VarOrder) -> List[Polynomial]:
 def _cell_json(cad: CAD, cell) -> dict:
     return {
         "index": list(cell.index),
-        "sample": [cell.sample.coord_str(i) for i in range(cell.level)],
+        "sample": [str(c) for c in cell.sample.coords],
         "signs": dict(sorted(cell.signs.items())),
         "description": cell.describe(),
         "dimension": cell.dimension,

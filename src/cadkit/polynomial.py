@@ -601,30 +601,6 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     return exact_div(f, g).normalized()
 
 
-def squarefree_decomposition(f: Polynomial, var: str) -> list:
-    """Yun's algorithm: list of (factor, multiplicity), univariate in var."""
-    if f.degree(var) < 1:
-        return []
-    fp = f.derivative(var)
-    a = poly_gcd(f, fp)
-    b = exact_div(f, a)
-    c = exact_div(fp, a)
-    d = c - b.derivative(var)
-    result = []
-    i = 1
-    while b.degree(var) >= 1:
-        g = poly_gcd(b, d)
-        if g.degree(var) >= 1:
-            result.append((g.normalized(), i))
-        b = exact_div(b, g)
-        if b.degree(var) < 1:
-            break
-        c = exact_div(d, g)
-        d = c - b.derivative(var)
-        i += 1
-    return result
-
-
 def squarefree_basis(polys: Iterable[Polynomial], var: str = None) -> list:
     """Square-free, pairwise-coprime, primitive basis with the same zeros.
 

@@ -271,6 +271,6 @@ def qe(f, order: VarOrder, operator: str = "mccallum",
         table = tables[depth]
         for cell in cad.cells(depth):
             if table.get(cell.index, False):
-                witness = [cell.sample.coord_str(i) for i in range(depth)]
+                witness = [str(c) for c in cell.sample.coords]
                 break
     return QEResult(result, cad, pf, tables, witness)

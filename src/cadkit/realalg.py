@@ -1,9 +1,10 @@
 """Real root isolation over Q and the real algebraic number type.
 
-Isolation uses Descartes'-rule bisection on dyadic intervals after a
-Cauchy root bound; rational roots are split off first via the rational
-root theorem so bisection never lands on a root.  A Sturm-sequence
-implementation lives in the test suite as an independent oracle.
+Isolation reduces a univariate polynomial to its square-free part, then
+uses Descartes'-rule bisection on dyadic intervals after a Cauchy root
+bound; rational roots are split off first via the rational root theorem
+so bisection never lands on a root.  A Sturm-sequence implementation
+lives in the test suite as an independent oracle.
 
 Arithmetic on the numbers (refinement, comparison, signs of polynomials,
 rationals between two numbers) lives in ``chains``: a number over Q is a
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .polynomial import (Polynomial, VarOrder, poly_gcd,
-                         squarefree_decomposition)
+from .polynomial import Polynomial, VarOrder, squarefree_part
 
 
 class RealAlgError(ValueError):
@@ -59,17 +59,14 @@ class RealAlgebraicNumber:
     contains exactly one root of ``defining`` and neither endpoint is a
     root; a point interval holds an exact rational value.  ``chains``
     narrows the interval in place; the represented value never changes.
-    ``multiplicity`` records the root's multiplicity in the polynomial
-    before square-free reduction.
     """
 
-    __slots__ = ("defining", "interval", "multiplicity", "var")
+    __slots__ = ("defining", "interval", "var")
 
     def __init__(self, defining: Polynomial, interval: Interval,
-                 multiplicity: int = 1, var: Optional[str] = None):
+                 var: Optional[str] = None):
         self.defining = defining
         self.interval = interval
-        self.multiplicity = multiplicity
         self.var = var if var is not None else defining.main_var()
 
     @classmethod
@@ -204,24 +201,21 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
 # -- public operations --------------------------------------------------
 
 def isolate_roots(p: Polynomial) -> List[RealAlgebraicNumber]:
-    """Isolate the real roots of a square-free univariate polynomial.
+    """Isolate the distinct real roots of a non-constant univariate
+    polynomial.
 
     Returns one entry per distinct real root, sorted ascending, with
-    pairwise-disjoint isolating intervals.  Known-rational roots come
-    back with point intervals; an open interval contains exactly one
-    root, and neither of its endpoints is a root.
+    pairwise-disjoint isolating intervals; every root is defined by the
+    square-free part of ``p``.  Known-rational roots come back with point
+    intervals; an open interval contains exactly one root, and neither
+    of its endpoints is a root.
     """
     if p.is_zero or p.is_constant:
         raise RealAlgError("cannot isolate roots of a constant")
     var = p.main_var()
     if len(p.variables()) != 1:
         raise RealAlgError("polynomial is not univariate")
-    if not poly_gcd(p, p.derivative(var)).is_constant:
-        raise RealAlgError("polynomial is not square-free")
-    return _isolate_squarefree(p.normalized(), var)
-
-
-def _isolate_squarefree(p: Polynomial, var: str) -> List[RealAlgebraicNumber]:
+    p = squarefree_part(p)
     coeffs = p.univariate_coeffs(var)
     rational = sorted(_rational_roots(coeffs))
     work = coeffs
@@ -286,41 +280,6 @@ def _deflate(coeffs: List[Fraction], root: Fraction) -> List[Fraction]:
         acc = coeffs[i] + acc * root
         out[i - 1] = acc
     return out
-
-
-def isolate_with_multiplicity(p: Polynomial) -> List[RealAlgebraicNumber]:
-    """Distinct real roots of arbitrary non-constant univariate ``p``.
-
-    Intervals are as in ``isolate_roots``: an open one contains exactly
-    one root and neither endpoint is a root.  Each root is defined by the
-    square-free factor of ``p`` that it is a root of, and carries that
-    factor's multiplicity.  Yun's factors are pairwise coprime, so their
-    product is isolated once and each root is owned by the one factor
-    that vanishes at it (point) or changes sign across it (open).
-    """
-    if p.is_zero or p.is_constant:
-        raise RealAlgError("cannot isolate roots of a constant")
-    var = p.main_var()
-    factors = squarefree_decomposition(p, var)
-    product = factors[0][0]
-    for factor, _ in factors[1:]:
-        product = product * factor
-    roots = _isolate_squarefree(product, var)
-    for r in roots:
-        r.defining, r.multiplicity = (_owner(factors, r, var)
-                                      if len(factors) > 1 else factors[0])
-    return roots
-
-
-def _owner(factors, r: RealAlgebraicNumber, var: str):
-    # the factor that vanishes at a point root, or changes sign across an
-    # open interval (whose endpoints are roots of no factor)
-    lo, hi = r.interval.lo, r.interval.hi
-    for factor, mult in factors:
-        coeffs = factor.univariate_coeffs(var)
-        if _eval_coeffs(coeffs, lo) * _eval_coeffs(coeffs, hi) <= 0:
-            return factor, mult
-    raise RealAlgError("root owned by no square-free factor")
 
 
 def choose_sample(lo: Optional[Fraction], hi: Optional[Fraction],

@@ -66,6 +66,20 @@ class TestBaseAndStacks:
         assert extra
         assert_sign_table(cad, [g1, g2, g3, g4] + extra)
 
+    def test_rational_coordinates_are_fractions(self):
+        cad, p = circle_cad()
+        sections = [c for c in cad.cells(2) if c.is_section]
+        assert sorted(c.sample.coords[0] for c in sections) == [-1, 0, 0, 1]
+        for c in sections:
+            assert all(type(v) is Fraction for v in c.sample.coords)
+            assert c.sample.chain == []
+        for c in cad.cells(1) + cad.cells(2):
+            s = c.sample
+            assert len(s.assignment) + len(s.chain) == len(s.coords)
+            for name, v in zip(XY.names, s.coords):
+                assert s.assignment.get(name) is v or \
+                    any(v is e for e in s.chain)
+
     def test_sections_have_descriptions(self):
         cad, p = circle_cad()
         sections = [c for c in cad.cells(2) if c.is_section]
@@ -86,8 +100,8 @@ class TestWellOrientedness:
         assert nul
         for c in nul:
             assert c.dimension == 1  # the fibre over the origin
-            assert c.sample.rational_assignment()["x"] == 0
-            assert c.sample.rational_assignment()["y"] == 0
+            assert c.sample.assignment["x"] == 0
+            assert c.sample.assignment["y"] == 0
             assert c.signs[str(p)] == 0
 
     def test_positive_dim_nullification_raises(self):
@@ -151,6 +165,21 @@ class TestInvariants:
         cad = build_cad(polys, ProjectionConfig("mccallum", XY))
         assert cad.per_level_counts() == {1: 11, 2: 63}
         assert_cad_well_formed(cad, rng, points_per_cell=5)
+
+    def test_repeated_factors_over_a_rational_point(self):
+        # over x = 0 the first polynomial is y*(y^2 - 2)^2, whose factors
+        # have unequal multiplicities; its irrational roots are defined
+        # by the square-free part
+        polys = [parse_poly(t, XY) for t in ("y*(y^2 - 2)^2 - x", "x^3 - 2")]
+        cad = build_cad(polys, ProjectionConfig("mccallum", XY))
+        x, y = zip(*(c.sample.coords for c in cad.cells(2) if c.is_section))
+        irrational = [b for a, b in zip(x, y) if str(a) == "0"
+                      and isinstance(b, RealAlgebraicNumber)
+                      and not b.is_rational]
+        assert len(irrational) == 2
+        assert all(str(b.defining) == "y^3 - 2*y" for b in irrational)
+        assert cylindricity_check(cad) is None
+        assert_sign_table(cad, polys)
 
     def test_ec_lifting_coarsens(self):
         (g1, g2, g3, g4), order = tti_inputs()

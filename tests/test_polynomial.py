@@ -17,7 +17,6 @@ from cadkit.polynomial import (
     pseudo_divmod,
     resultant,
     squarefree_basis,
-    squarefree_decomposition,
     squarefree_part,
     parse_poly as pp,
 )
@@ -133,13 +132,6 @@ class TestSquarefree:
         # the content y - x is a genuine factor; its zeros must survive
         assert exact_div(sf, parse_poly("z", o)) is not None
         assert sf.degree("z") == 1 and sf.degree("y") == 1
-
-    def test_squarefree_decomposition(self):
-        f = P("(x - 1)^2*(x + 2)^3", X)
-        parts = squarefree_decomposition(f, "x")
-        by_mult = {m: g for g, m in parts if not g.is_constant}
-        assert exact_div(by_mult[2], P("x - 1", X)) is not None
-        assert exact_div(by_mult[3], P("x + 2", X)) is not None
 
     def test_basis_pairwise_coprime_squarefree(self):
         f = P("(x - 1)*(x - 2)", X)

@@ -11,13 +11,8 @@ from cadkit.chains import (
     sign_at_chain,
     thom_encoding,
 )
-from cadkit.polynomial import parse_poly, poly_gcd
-from cadkit.realalg import (
-    RealAlgebraicNumber,
-    choose_sample,
-    isolate_roots,
-    isolate_with_multiplicity,
-)
+from cadkit.polynomial import parse_poly, poly_gcd, squarefree_part
+from cadkit.realalg import RealAlgebraicNumber, choose_sample, isolate_roots
 
 from conftest import coeffs_to_poly, rand_coeffs
 from oracles import evaluate as oracle_eval, sturm_count
@@ -66,16 +61,22 @@ class TestIsolation:
         assert isolate_roots(P("x^2 + 1")) == []
 
     def test_multiplicity(self):
-        roots = isolate_with_multiplicity(P("(x - 1)^2*(x + 2)"))
-        mult = {r.interval.lo: r.multiplicity for r in roots
-                if r.interval.is_point}
-        assert mult == {Fraction(-2): 1, Fraction(1): 2}
+        # a repeated root is isolated once, like a simple one
+        p = P("(x - 1)^2*(x + 2)")
+        roots = isolate_roots(p)
+        assert [r.rational_value() for r in roots] == [-2, 1]
+        assert all(r.defining == squarefree_part(p) for r in roots)
 
     def test_multiplicity_of_irrational_roots(self):
-        roots = isolate_with_multiplicity(P("(x^2 - 2)^2*(x^2 - 3)*(x - 1)^3"))
-        got = [(str(r.defining), r.multiplicity) for r in roots]
-        assert got == [("x^2 - 3", 1), ("x^2 - 2", 2), ("x - 1", 3),
-                       ("x^2 - 2", 2), ("x^2 - 3", 1)]
+        p = P("(x^2 - 2)^2*(x^2 - 3)*(x - 1)^3")
+        roots = isolate_roots(p)
+        assert [r.is_rational for r in roots] == [False, False, True,
+                                                  False, False]
+        assert roots[2].rational_value() == 1
+        assert all(r.defining == squarefree_part(p) for r in roots)
+        for r, factor in zip(roots, ("x^2 - 3", "x^2 - 2", "x - 1",
+                                     "x^2 - 2", "x^2 - 3")):
+            assert sign_at_chain(P(factor), [r]) == 0
         for a, b in zip(roots, roots[1:]):
             assert compare(a, b) < 0
 
