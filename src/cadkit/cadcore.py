@@ -381,8 +381,7 @@ def cylindricity_check(cad: CAD):
     return None
 
 
-def describe_cell(cell: Cell, language: str = "extended",
-                  level_polys: Optional[Sequence[Polynomial]] = None) -> str:
+def describe_cell(cell: Cell, language: str = "extended") -> str:
     """Render a cell description; thom-augmented mode replaces the final
     root index by the signs of the defining polynomial's derivatives."""
     if language == "extended" or not cell.is_section:

@@ -2,23 +2,17 @@
 printer, and prenex normal form.
 
 Grammar: quantifiers ``exists v.`` / ``forall v.``; connectives
-``/\\ \\/ ~ ->``; relations ``= != < <= > >=``; polynomial arithmetic with
-``+ - * / ^``.  Atoms are normalised to a polynomial compared with zero.
+``/\\ \\/ ~ ->``; relations ``= != < <= > >=`` between polynomials, which
+are read by ``polynomial.PolyParser`` over its tokens.  Atoms are
+normalised to a polynomial compared with zero.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .polynomial import Polynomial, PolynomialError, VarOrder, _monomial_key
-
-
-def _lead_sign(p: Polynomial) -> int:
-    key = max(p.terms, key=_monomial_key)
-    return 1 if p.terms[key] > 0 else -1
+from .polynomial import Polynomial, PolyParser, VarOrder
 
 
 RELS = ("=", "!=", "<", "<=", ">", ">=")
@@ -112,39 +106,10 @@ class Quant(Formula):
 
 # -- parsing ------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(exists|forall|true|false|/\\|\\/|->|~|!=|<=|>=|=|<|>|\^|\*\*"
-    r"|[()+\-*/.]|\d+|[A-Za-z_][A-Za-z_0-9]*)")
+class _Parser(PolyParser):
+    """The formula rules over ``PolyParser``'s tokens and polynomials."""
 
-
-def _tokenize(text: str) -> List[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise FormulaError("syntax error at position %d: %r" %
-                               (pos, text[pos:pos + 10]))
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: List[str], order: VarOrder):
-        self.toks = tokens
-        self.i = 0
-        self.order = order
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expect: Optional[str] = None) -> str:
-        t = self.peek()
-        if t is None or (expect is not None and t != expect):
-            raise FormulaError("expected %r, found %r at token %d" %
-                               (expect, t, self.i))
-        self.i += 1
-        return t
+    error = FormulaError
 
     # formula := implication; quantifiers reach to the end of their scope
     def formula(self) -> Formula:
@@ -205,82 +170,26 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Formula:
-        lhs = self.poly_expr()
+        lhs = self.expr()
         t = self.peek()
         if t not in RELS:
             raise FormulaError("expected a relation, found %r" % t)
         self.take()
-        rhs = self.poly_expr()
-        p = lhs - rhs
+        p = lhs - self.expr()
         q = p.normalized()
-        # normalized() may flip the sign to make the leading coefficient
-        # positive; undo that for order relations to keep their meaning
-        if not p.is_zero and _lead_sign(p) != _lead_sign(q):
-            q = q.scale(-1)
+        # normalized() scales by a nonzero rational, which may be negative;
+        # undo a flip so that order relations keep their meaning
+        if p.terms:
+            m = next(iter(p.terms))
+            if p.terms[m] * q.terms[m] < 0:
+                q = -q
         return Atom(q, t)
-
-    # polynomial expressions share the token stream
-    def poly_expr(self) -> Polynomial:
-        p = self.poly_term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                p = p + self.poly_term()
-            else:
-                p = p - self.poly_term()
-        return p
-
-    def poly_term(self) -> Polynomial:
-        p = self.poly_factor()
-        while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                p = p * self.poly_factor()
-            else:
-                d = self.poly_factor()
-                if not d.is_constant or d.is_zero:
-                    raise FormulaError("division only by nonzero constants")
-                p = p.scale(1 / d.constant_value())
-        return p
-
-    def poly_factor(self) -> Polynomial:
-        t = self.peek()
-        if t == "-":
-            self.take()
-            return -self.poly_factor()
-        if t == "+":
-            self.take()
-            return self.poly_factor()
-        p = self.poly_base()
-        if self.peek() in ("^", "**"):
-            self.take()
-            e = self.take()
-            if not e.isdigit():
-                raise FormulaError("exponent must be a literal integer")
-            return p ** int(e)
-        return p
-
-    def poly_base(self) -> Polynomial:
-        t = self.peek()
-        if t == "(":
-            self.take()
-            p = self.poly_expr()
-            self.take(")")
-            return p
-        if t is not None and t.isdigit():
-            self.take()
-            return Polynomial.const(self.order, Fraction(int(t)))
-        if t is not None and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", t):
-            if t not in self.order:
-                raise FormulaError("unknown variable %r" % t)
-            self.take()
-            return Polynomial.var(self.order, t)
-        raise FormulaError("unexpected token %r in polynomial" % t)
 
 
 def parse_formula(text: str, order: VarOrder) -> Formula:
-    p = _Parser(_tokenize(text), order)
+    p = _Parser(text, order)
     f = p.formula()
-    if p.peek() is not None:
-        raise FormulaError("trailing input at token %d: %r" % (p.i, p.peek()))
+    p.end()
     _check_single_binding(f, set())
     return f
 

@@ -259,15 +259,6 @@ class Polynomial:
         terms = {m: c for m, c in self.terms.items() if m[i] < d}
         return Polynomial(self.order, terms)
 
-    def from_coeffs(self, var: str, coeffs: Sequence["Polynomial"]) -> "Polynomial":
-        i = self.order.index(var)
-        terms: dict = {}
-        for e, p in enumerate(coeffs):
-            for m, c in p.terms.items():
-                mm = m[:i] + (m[i] + e,) + m[i + 1:]
-                terms[mm] = terms.get(mm, Fraction(0)) + c
-        return Polynomial(self.order, terms)
-
     def derivative(self, var: str) -> "Polynomial":
         i = self.order.index(var)
         terms: dict = {}
@@ -383,98 +374,115 @@ class Polynomial:
 
 # -- parsing ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()]))")
+# Identifiers are read whole, so a keyword is a whole token; ``**`` is
+# read as ``^``.  The formula symbols are tokens here too, so that formula
+# atoms and bare polynomials share this tokenizer and the grammar below.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*|[0-9]+|\*\*|/\\|\\/|->"
+                       r"|[!<>]=|[-+*/^()~.=<>])|(\S))")
+
+
+class PolyParser:
+    """Recursive descent over the input token language.
+
+    expr := term (("+" | "-") term)*; term := factor (("*" | "/") factor)*;
+    factor := ("+" | "-") factor | base ["^" integer];
+    base := integer | variable | "(" expr ")".  A unary sign binds looser
+    than ``^`` (``-x^2`` is ``-(x^2)``); divisors must be nonzero
+    constants.  Subclasses add rules over the same tokens and set
+    ``error`` to their exception type.
+    """
+
+    error = PolynomialError
+
+    def __init__(self, text: str, order: VarOrder):
+        self.text = text
+        self.order = order
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            if m.group(2):
+                raise self.error("syntax error at position %d in %r"
+                                 % (m.start(2), text))
+            tok = m.group(1)
+            self.tokens.append("^" if tok == "**" else tok)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self, expect: str = None) -> str:
+        t = self.peek()
+        if t is None or (expect is not None and t != expect):
+            raise self.error("expected %s, found %r in %r"
+                             % (repr(expect) if expect else "more input",
+                                t, self.text))
+        self.i += 1
+        return t
+
+    def end(self) -> None:
+        if self.peek() is not None:
+            raise self.error("trailing input %r in %r"
+                             % (self.peek(), self.text))
+
+    def expr(self) -> Polynomial:
+        p = self.term()
+        while self.peek() in ("+", "-"):
+            if self.take() == "+":
+                p = p + self.term()
+            else:
+                p = p - self.term()
+        return p
+
+    def term(self) -> Polynomial:
+        p = self.factor()
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                p = p * self.factor()
+                continue
+            d = self.factor()
+            if d.is_zero:
+                raise self.error("division by zero in %r" % self.text)
+            if not d.is_constant:
+                raise self.error("division only by constants in %r"
+                                 % self.text)
+            p = p.scale(1 / d.constant_value())
+        return p
+
+    def factor(self) -> Polynomial:
+        t = self.peek()
+        if t in ("+", "-"):
+            self.take()
+            return -self.factor() if t == "-" else self.factor()
+        p = self.base()
+        if self.peek() == "^":
+            self.take()
+            e = self.take()
+            if not e.isdigit():
+                raise self.error("exponent must be a literal integer in %r"
+                                 % self.text)
+            p = p ** int(e)
+        return p
+
+    def base(self) -> Polynomial:
+        t = self.take()
+        if t == "(":
+            p = self.expr()
+            self.take(")")
+            return p
+        if t.isdigit():
+            return Polynomial.const(self.order, int(t))
+        if t[0].isalpha() or t[0] == "_":
+            if t not in self.order:
+                raise self.error("unknown variable %r" % t)
+            return Polynomial.var(self.order, t)
+        raise self.error("unexpected token %r in %r" % (t, self.text))
 
 
 def parse_poly(text: str, order: VarOrder) -> Polynomial:
-    """Parse ``+ - * / ^`` expressions over integers and named variables;
-    division only by nonzero constants."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise PolynomialError(
-                    "syntax error at position %d in %r" % (pos, text))
-            break
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("num", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("var", m.group(2)))
-        else:
-            op = "^" if m.group(3) == "**" else m.group(3)
-            tokens.append((op, op))
-    tokens.append(("end", None))
-
-    state = {"i": 0}
-
-    def peek():
-        return tokens[state["i"]][0]
-
-    def take(kind=None):
-        tok = tokens[state["i"]]
-        if kind is not None and tok[0] != kind:
-            raise PolynomialError("expected %s, got %r in %r" % (kind, tok[1], text))
-        state["i"] += 1
-        return tok
-
-    def parse_expr():
-        if peek() == "-":
-            take()
-            node = -parse_term()
-        else:
-            if peek() == "+":
-                take()
-            node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()[0]
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()[0]
-            rhs = parse_factor()
-            if op == "*":
-                node = node * rhs
-            elif rhs.is_zero:
-                raise PolynomialError("division by zero in %r" % text)
-            else:
-                node = node * Polynomial.const(order, Fraction(1) / rhs.constant_value())
-        return node
-
-    def parse_factor():
-        node = parse_base()
-        if peek() == "^":
-            take()
-            node = node ** take("num")[1]
-        return node
-
-    def parse_base():
-        kind, value = tokens[state["i"]]
-        if kind == "num":
-            take()
-            return Polynomial.const(order, value)
-        if kind == "var":
-            take()
-            return Polynomial.var(order, value)
-        if kind == "(":
-            take()
-            node = parse_expr()
-            take(")")
-            return node
-        if kind == "-":
-            take()
-            return -parse_base()
-        raise PolynomialError("unexpected token %r in %r" % (value, text))
-
-    node = parse_expr()
-    take("end")
-    return node
+    """Parse a polynomial in the grammar of ``PolyParser``."""
+    parser = PolyParser(text, order)
+    p = parser.expr()
+    parser.end()
+    return p
 
 
 # -- pseudo-division ----------------------------------------------------

@@ -215,6 +215,11 @@ def isolate_roots(p: Polynomial) -> List[RealAlgebraicNumber]:
     var = p.main_var()
     if len(p.variables()) != 1:
         raise RealAlgError("polynomial is not univariate")
+    if p.degree(var) == 1:
+        # the one root -c0/c1, defined by what squarefree_part(p) returns
+        c0, c1 = p.univariate_coeffs(var)
+        r = -c0 / c1
+        return [RealAlgebraicNumber(p.normalized(), Interval(r, r), var=var)]
     p = squarefree_part(p)
     coeffs = p.univariate_coeffs(var)
     rational = sorted(_rational_roots(coeffs))

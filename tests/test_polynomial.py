@@ -51,6 +51,13 @@ class TestBasics:
             P("x/y")  # only constant divisors
         assert P("x/2 + y") == P("y + x/2")
 
+    def test_unary_sign_binds_looser_than_power(self):
+        assert P("x*-y^2") == -P("x*y^2")
+        assert P("x - -y^2") == P("x + y^2")
+        assert P("2*-(x+y)^2") == P("-2*x^2 - 4*x*y - 2*y^2")
+        assert P("-x^2") == -P("x^2")
+        assert P("x*+y") == P("x*y")
+
     def test_arithmetic_identities(self):
         p, q = P("x^2 - y"), P("x*y + 3")
         assert (p + q) - q == p

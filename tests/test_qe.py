@@ -15,7 +15,7 @@ from cadkit.formulas import (
     parse_formula,
     prenex,
 )
-from cadkit.polynomial import parse_poly
+from cadkit.polynomial import PolynomialError, parse_poly
 from cadkit.projection import ProjectionConfig
 from cadkit.qe import evaluate_matrix, formula_clauses, propagate, synthesize
 
@@ -56,6 +56,36 @@ class TestParsing:
                              (Fraction(0), False)]:
             v = f.poly.evaluate({"x": xval})
             assert f.holds((v > 0) - (v < 0)) is expect
+
+    def test_keyword_prefixed_variables(self):
+        o = VarOrder(("truex", "existsy", "forallz", "falsey"))
+        f = parse_formula("truex > 0 /\\ exists falsey. "
+                          "existsy + forallz = falsey", o)
+        pf = prenex(f, o)
+        assert pf.free_vars == ["truex", "existsy", "forallz"]
+        assert pf.blocks == [("exists", ["falsey"])]
+        assert parse_formula(str(f), o) == f
+        g = parse_formula("exists y. y = truex", VarOrder(("truex", "y")))
+        assert isinstance(g, Quant) and g.var == "y"
+        assert g.body.poly.variables() == {"truex", "y"}
+
+    def test_one_polynomial_grammar(self):
+        # a bare polynomial and a formula atom read the same text alike
+        for t in ("x*-y^2", "x - -y^2", "-x^2", "x*+y", "x**2", "x/2/2",
+                  "(x - 3)^2 - (y + 3)"):
+            p = parse_poly(t, XY)
+            atom = parse_formula(t + " = 0", XY)
+            m = next(iter(p.terms))
+            scale = atom.poly.terms[m] / p.terms[m]
+            assert scale > 0 and p.scale(scale) == atom.poly, t
+        for t in ("x/0", "x/y", "3x", "x^2^2", "x^-1"):
+            with pytest.raises(PolynomialError) as poly_err:
+                parse_poly(t, XY)
+            with pytest.raises(FormulaError) as formula_err:
+                parse_formula(t + " = 0", XY)
+            if t == "x/0":
+                assert "division by zero" in str(poly_err.value)
+                assert "division by zero" in str(formula_err.value)
 
     def test_rejects_rebinding(self):
         with pytest.raises(FormulaError):

@@ -48,6 +48,12 @@ class TestIsolation:
                         if r.interval.is_point)
         assert values == [Fraction(-2), Fraction(1, 3), Fraction(1)]
 
+    def test_linear_root_is_exact(self):
+        for text in ("3*x + 1", "-6*x - 2", "x/2 + 1/6"):
+            (root,) = isolate_roots(P(text))
+            assert root.interval.lo == root.interval.hi == Fraction(-1, 3)
+            assert root.defining == P("3*x + 1")
+
     def test_sqrt2(self):
         roots = isolate_roots(P("x^2 - 2"))
         assert len(roots) == 2
