@@ -5,6 +5,13 @@ nonzero Fraction coefficients under a fixed variable order.  Views by a
 main variable (coefficient lists, leading coefficient, pseudo-division)
 are computed on demand, which is what the projection operators need.
 
+Pseudo-division and exact division run on term dicts and build one
+Polynomial per result: pseudo-division clears denominators and works on
+int rows of the coefficient view by the division variable, and exact
+division subtracts from one dict of remaining terms.  Every gcd,
+resultant and discriminant here, and every Sturm chain in ``chains``,
+runs on that pseudo-division.
+
 Resultants are computed by a pseudo-remainder sequence with an exact
 correction-factor ledger (the Sylvester determinant is kept as a test
 oracle only).  The discriminant sign is fixed so that
@@ -16,6 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -87,11 +95,12 @@ class Polynomial:
         n = len(order)
         cleaned = {}
         for expts, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             expts = tuple(expts)
-            if len(expts) != n or any(e < 0 for e in expts):
+            if len(expts) != n or min(expts) < 0:
                 raise PolynomialError("bad exponent vector %r" % (expts,))
             if expts in cleaned:
                 cleaned[expts] += coeff
@@ -184,7 +193,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.order, terms)
 
     __radd__ = __add__
@@ -209,7 +218,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.order, terms)
 
     __rmul__ = __mul__
@@ -217,14 +226,17 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise PolynomialError("negative power")
-        result = Polynomial.const(self.order, 1)
+        if n == 0:
+            return Polynomial.const(self.order, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = Fraction(c)
@@ -240,7 +252,7 @@ class Polynomial:
         for m, c in self.terms.items():
             e = m[i]
             rest = m[:i] + (0,) + m[i + 1:]
-            buckets[e][rest] = buckets[e].get(rest, Fraction(0)) + c
+            buckets[e][rest] = buckets[e].get(rest, 0) + c
         return [Polynomial(self.order, b) for b in buckets]
 
     def leading_coeff(self, var: str) -> "Polynomial":
@@ -266,7 +278,7 @@ class Polynomial:
             if m[i] == 0:
                 continue
             mm = m[:i] + (m[i] - 1,) + m[i + 1:]
-            terms[mm] = terms.get(mm, Fraction(0)) + c * m[i]
+            terms[mm] = terms.get(mm, 0) + c * m[i]
         return Polynomial(self.order, terms)
 
     # -- substitution / evaluation --------------------------------------
@@ -486,6 +498,64 @@ def parse_poly(text: str, order: VarOrder) -> Polynomial:
 
 
 # -- pseudo-division ----------------------------------------------------
+#
+# Pseudo-division works over Z on the coefficient view by ``var``: a row
+# is the coefficient of one power of ``var``, a dict from exponent vectors
+# (with ``var``'s entry zero) to nonzero ints.
+
+def _denominator(p: Polynomial) -> int:
+    """The lcm of the coefficient denominators of p."""
+    den = 1
+    for c in p.terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // int_gcd(den, d)
+    return den
+
+
+def _int_rows(p: Polynomial, i: int, den: int) -> list:
+    """The rows of den*p by the degree in variable number i."""
+    rows: list = [{} for _ in range(max(m[i] for m in p.terms) + 1)]
+    for m, c in p.terms.items():
+        rows[m[i]][m[:i] + (0,) + m[i + 1:]] = \
+            c.numerator * (den // c.denominator)
+    return rows
+
+
+def _add_product(acc: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """acc += sign*a*b on int rows, in place, dropping zero entries."""
+    for mb, cb in b.items():
+        cb *= sign
+        shift = any(mb)
+        for ma, ca in a.items():
+            m = tuple(map(add, ma, mb)) if shift else ma
+            v = acc.get(m, 0) + ca * cb
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+    return acc
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two int rows."""
+    if len(b) == 1:
+        # a monomial multiplier maps terms one to one
+        ((mb, cb),) = b.items()
+        if any(mb):
+            return {tuple(map(add, ma, mb)): ca * cb for ma, ca in a.items()}
+        return {ma: ca * cb for ma, ca in a.items()}
+    return _add_product({}, a, b)
+
+
+def _from_rows(order: VarOrder, rows: list, i: int, den: int) -> Polynomial:
+    """The Polynomial sum of rows[e] * var^e / den, var being number i."""
+    terms = {}
+    for e, row in enumerate(rows):
+        for m, c in row.items():
+            terms[m[:i] + (e,) + m[i + 1:] if e else m] = Fraction(c, den)
+    return Polynomial(order, terms)
+
 
 def prem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Pseudo-remainder: lc_v(g)^(deg f - deg g + 1) * f = q*g + prem."""
@@ -493,7 +563,22 @@ def prem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
 
 
 def pseudo_divmod(f: Polynomial, g: Polynomial, var: str):
-    """Return (pseudo-quotient, pseudo-remainder) for division by g in var."""
+    """Return (pseudo-quotient, pseudo-remainder) for division by g in var.
+
+    The unique q, r with lc_var(g)^max(df - dg + 1, 0) * f = q*g + r
+    and deg_var(r) < dg, where df, dg are the degrees in var.
+
+    >>> order = VarOrder(["x", "y"])
+    >>> f = parse_poly("x^2/2 + y*x/3 + 1", order)
+    >>> g = parse_poly("2/3*y*x - 1", order)
+    >>> q, r = pseudo_divmod(f, g, "x")
+    >>> print(q, "|", r)
+    1/3*x*y + 2/9*y^2 + 1/2 | 2/3*y^2 + 1/2
+    >>> g.leading_coeff("x") ** 2 * f == q * g + r
+    True
+    """
+    if f.order != g.order:
+        raise PolynomialError("mismatched variable orders")
     dg = g.degree(var)
     if dg < 0:
         raise PolynomialError("pseudo-division by zero")
@@ -501,23 +586,42 @@ def pseudo_divmod(f: Polynomial, g: Polynomial, var: str):
     if df < dg:
         # convention: lc^(delta+1) with delta+1 = max(df-dg+1, 0) = 0
         return Polynomial.zero(f.order), f
-    lc_g = g.leading_coeff(var)
-    v = Polynomial.var(f.order, var)
+    # Over Z with F = Df*f, G = Dg*g: lc_G^N * F = Q*G + R, N = df-dg+1,
+    # so q = Q / (Df*Dg^(N-1)) and r = R / (Df*Dg^N) by uniqueness.
+    i = f.order.index(var)
+    d_f, d_g = _denominator(f), _denominator(g)
+    big_g = _int_rows(g, i, d_g)
+    lc_g = big_g[dg]
+    rem = _int_rows(f, i, d_f)
+    steps = []  # (s, lc_R) of each step
+    while len(rem) > dg:
+        # R <- lc_G*R - lc_R*v^s*G; the top row of R cancels exactly
+        lc_r = rem.pop()
+        s = len(rem) - dg
+        for e, row in enumerate(rem):
+            row = _mul(row, lc_g)
+            if e >= s:
+                _add_product(row, lc_r, big_g[e - s], -1)
+            rem[e] = row
+        steps.append((s, lc_r))
+        while rem and not rem[-1]:
+            rem.pop()
+    # Q <- lc_G*Q + lc_R*v^s at step k and the final lc_G^(N - steps)
+    # leave lc_R*v^s*lc_G^(N-1-k) from step k; s falls at every step
     n = df - dg + 1
-    q = Polynomial.zero(f.order)
-    r = f
-    while not r.is_zero and r.degree(var) >= dg:
-        dr = r.degree(var)
-        lc_r = r.leading_coeff(var)
-        shift = lc_r * v ** (dr - dg)
-        q = q * lc_g + shift
-        r = r * lc_g - shift * g
-        n -= 1
-    if n > 0:
-        scale = lc_g ** n
-        q = q * scale
-        r = r * scale
-    return q, r
+    powers = [None, lc_g]  # powers[e] = lc_G^e
+    for _ in range(n - 2):
+        powers.append(_mul(powers[-1], lc_g))
+    quo: list = [{} for _ in range(n)]
+    for k, (s, lc_r) in enumerate(steps):
+        e = n - 1 - k
+        quo[s] = _mul(lc_r, powers[e]) if e else lc_r
+    e = n - len(steps)
+    if e:
+        rem = [_mul(row, powers[e]) for row in rem]
+    den = d_f * d_g ** (df - dg)
+    return (_from_rows(f.order, quo, i, den),
+            _from_rows(f.order, rem, i, den * d_g))
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -528,18 +632,26 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         return f
     if g.is_constant:
         return f.scale(Fraction(1) / g.constant_value())
-    q_terms: dict = {}
     g_lead = max(g.terms, key=_monomial_key)
     g_lc = g.terms[g_lead]
-    r = f
-    while not r.is_zero:
-        r_lead = max(r.terms, key=_monomial_key)
+    g_rest = [(m, c) for m, c in g.terms.items() if m != g_lead]
+    r = dict(f.terms)
+    q_terms: dict = {}
+    while r:
+        # the leading monomial of r strictly falls, so each m comes once
+        r_lead = max(r, key=_monomial_key)
         m = tuple(a - b for a, b in zip(r_lead, g_lead))
         if any(e < 0 for e in m):
             raise PolynomialError("inexact polynomial division")
-        c = r.terms[r_lead] / g_lc
-        q_terms[m] = q_terms.get(m, Fraction(0)) + c
-        r = r - Polynomial(f.order, {m: c}) * g
+        c = r.pop(r_lead) / g_lc
+        q_terms[m] = c
+        for mg, cg in g_rest:
+            mm = tuple(map(add, m, mg))
+            v = r.get(mm, 0) - c * cg
+            if v:
+                r[mm] = v
+            else:
+                del r[mm]
     return Polynomial(f.order, q_terms)
 
 

@@ -168,7 +168,12 @@ def _divisors(n: int, cap: int = 1 << 20) -> Optional[List[int]]:
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots, via the rational root theorem (small inputs)."""
+    """All rational roots, via the rational root theorem (small inputs).
+
+    A root s/q in lowest terms of the integer polynomial f gives
+    f = (q*x - s)*g with g over Z, so q - s divides f(1) and q + s
+    divides f(-1); candidates failing either test are not evaluated.
+    """
     den = 1
     for c in coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
@@ -186,15 +191,24 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     qs = _divisors(ints[-1])
     if ps is None or qs is None:
         return roots
-    seen = set()
+    at_one = sum(ints)
+    at_minus_one = sum(ints[0::2]) - sum(ints[1::2])
     for p in ps:
         for q in qs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
+            if math.gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                if (q - s and at_one % (q - s)) or \
+                        (q + s and at_minus_one % (q + s)):
                     continue
-                seen.add(cand)
-                if _eval_coeffs(coeffs, cand) == 0:
-                    roots.append(cand)
+                # q^n * f(s/q), in integers
+                v = 0
+                q_pow = 1
+                for c in reversed(ints):
+                    v = v * s + c * q_pow
+                    q_pow *= q
+                if v == 0:
+                    roots.append(Fraction(s, q))
     return roots
 
 

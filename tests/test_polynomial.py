@@ -93,11 +93,46 @@ class TestDivision:
             assert r.degree("x") < g.degree("x")
             assert prem(f, g, "x") == r
 
+    def test_pseudo_division_identity_multivariate(self, rng):
+        # random trivariate f, g with non-integer rational coefficients,
+        # divided in every variable; the pair (q, r) is unique, so the
+        # identity and the degree bound pin it down
+        order = VarOrder(("x", "y", "z"))
+
+        def rand_poly(deg, nterms):
+            return Polynomial(order, {
+                tuple(rng.randint(0, deg) for _ in range(3)):
+                    Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                for _ in range(nterms)})
+
+        cases = [(rand_poly(rng.randint(1, 3), rng.randint(1, 6)),
+                  rand_poly(rng.randint(1, 2), rng.randint(1, 4)))
+                 for _ in range(40)]
+        seen = set()
+        for f, g in cases:
+            if g.is_zero:
+                continue
+            for v in order:
+                df, dg = f.degree(v), g.degree(v)
+                seen.add("df<dg" if df < dg else "dg=0" if dg == 0 else
+                         "other" if v != g.main_var() else "main")
+                q, r = pseudo_divmod(f, g, v)
+                k = max(df - dg + 1, 0)
+                assert g.leading_coeff(v) ** k * f == q * g + r
+                assert r.degree(v) < dg
+                assert prem(f, g, v) == r
+        assert seen == {"df<dg", "dg=0", "other", "main"}
+
     def test_exact_div(self):
         f = P("x^2 - y^2")
         assert exact_div(f, P("x - y")) == P("x + y")
+        a, b = P("x^2/3 - 2/7*x*y + 5"), P("3/2*y^2 - x/5")
+        assert exact_div(a * b, b) == a
+        assert exact_div(a * b, a) == b
         with pytest.raises(PolynomialError):
             exact_div(P("x^2 + 1", X), P("x - 1", X))
+        with pytest.raises(PolynomialError, match="inexact polynomial division"):
+            exact_div(a * b + P("y/2"), a)
 
     def test_content_primitive(self):
         f = P("x^2*y - x^2 + x*y - x")  # x(x+1)(y-1)

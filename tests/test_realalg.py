@@ -54,6 +54,17 @@ class TestIsolation:
             assert root.interval.lo == root.interval.hi == Fraction(-1, 3)
             assert root.defining == P("3*x + 1")
 
+    def test_large_end_coefficients(self):
+        # 240 and 360 divisors in both end coefficients, no rational root
+        for text in ("720720*x^2 + x - 720720", "3603600*x^2 + x - 3603600"):
+            roots = isolate_roots(P(text))
+            assert len(roots) == 2
+            assert not any(r.interval.is_point for r in roots)
+        roots = isolate_roots(P("(720720*x - 1)*(x + 5)*(x^2 - 2)"))
+        points = [r.interval.lo for r in roots if r.interval.is_point]
+        assert points == [Fraction(-5), Fraction(1, 720720)]
+        assert sum(not r.interval.is_point for r in roots) == 2
+
     def test_sqrt2(self):
         roots = isolate_roots(P("x^2 - 2"))
         assert len(roots) == 2
