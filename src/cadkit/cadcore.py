@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polynomial import Polynomial, PolynomialError, VarOrder, squarefree_part
+from .polynomial import (
+    Polynomial,
+    PolynomialError,
+    VarOrder,
+    poly_gcd,
+    squarefree_part,
+)
 from .chains import (
     SamplePoint,
     chain_reduce,
@@ -293,7 +299,6 @@ def lift(cad: CAD, pk: Sequence[Polynomial], mode: str = "full",
 
 
 def _shares_factor(p: Polynomial, ecs: Sequence[Polynomial]) -> bool:
-    from .polynomial import poly_gcd
     for e in ecs:
         if not poly_gcd(p, e).is_constant:
             return True

@@ -12,9 +12,12 @@ division subtracts from one dict of remaining terms.  Every gcd,
 resultant and discriminant here, and every Sturm chain in ``chains``,
 runs on that pseudo-division.
 
-Resultants are computed by a pseudo-remainder sequence with an exact
-correction-factor ledger (the Sylvester determinant is kept as a test
-oracle only).  The discriminant sign is fixed so that
+One subresultant chain (``subresultants``) serves the gcd, the
+resultant, the discriminant and Collins' principal subresultant
+coefficients: each step is a pseudo-division followed by an exact
+division, so every member is, exactly, the determinant of its trimmed
+Sylvester matrix.  The gcd is the primitive part of the last nonzero
+member, the resultant is S_0, and the discriminant sign is fixed so that
 disc_x(a*x^2 + b*x + c) = b^2 - 4*a*c.
 """
 
@@ -677,7 +680,8 @@ def primitive_in(f: Polynomial, var: str) -> Polynomial:
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Multivariate gcd over Q by primitive pseudo-remainder sequence."""
+    """Multivariate gcd over Q: the gcd of the contents times the
+    primitive part of the last nonzero subresultant."""
     if f.is_zero:
         return g.normalized()
     if g.is_zero:
@@ -694,16 +698,12 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     c = poly_gcd(cf, cg)
     a = exact_div(f, cf)
     b = exact_div(g, cg)
-    if a.degree(var) < b.degree(var):
-        a, b = b, a
-    while not b.is_zero:
-        _, r = pseudo_divmod(a, b, var)
-        if not r.is_zero and r.degree(var) >= 1:
-            r = primitive_in(r, var)
-        a, b = b, r
-    if a.degree(var) == 0:
-        return c
-    return (c * primitive_in(a, var)).normalized()
+    # an empty chain means that the one of lower degree divides the other
+    last = a if a.degree(var) < b.degree(var) else b
+    for _, last in subresultants(a, b, var):
+        if last.degree(var) == 0:
+            return c
+    return (c * primitive_in(last, var)).normalized()
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
@@ -721,12 +721,10 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     return exact_div(f, g).normalized()
 
 
-def squarefree_basis(polys: Iterable[Polynomial], var: str = None) -> list:
+def squarefree_basis(polys: Iterable[Polynomial]) -> list:
     """Square-free, pairwise-coprime, primitive basis with the same zeros.
 
-    Constants are discarded.  If ``var`` is given, the content of each
-    polynomial with respect to ``var`` is split off as its own basis
-    element before the square-free and coprimality refinement.
+    Constants are discarded.
     """
     work = []
 
@@ -768,56 +766,71 @@ def squarefree_basis(polys: Iterable[Polynomial], var: str = None) -> list:
     return basis
 
 
+# -- the subresultant chain ---------------------------------------------
+
+def subresultants(f: Polynomial, g: Polynomial, var: str):
+    """Yield (j, S_j) for the nonzero subresultants of f and g in var.
+
+    S_j is the j-th subresultant of the Sylvester matrix with the rows of
+    f first; j falls from min(deg f, deg g) - 1, and the coefficient of
+    var^j in S_j is the principal subresultant coefficient psc_j, zero
+    unless deg S_j = j.  Each S_j is computed only when it is asked for,
+    by pseudo-division and exact division (Ducos' form of the
+    subresultant algorithm).  Both degrees must be positive.
+
+    Here S_1 has degree 0, so psc_1 = 0, and S_0 is the resultant:
+
+    >>> order = VarOrder(["a", "x"])
+    >>> f, g = parse_poly("x^4 + a", order), parse_poly("x^2 + 1", order)
+    >>> for j, s in subresultants(f, g, "x"):
+    ...     print(j, s)
+    1 -a - 1
+    0 a^2 + 2*a + 1
+    """
+    m, n = f.degree(var), g.degree(var)
+    # the chain runs on the higher degree first; swapping the row blocks
+    # of f and g multiplies S_j by (-1)^((m-j)(n-j))
+    swap = m < n
+    if swap:
+        f, g, m, n = g, f, n, m
+    # s = psc_n = lc(g)^(m-n); the chain reads g in place of
+    # S_n = s*g/lc(g), which the lc(a) divisor below accounts for
+    s = g.leading_coeff(var) ** (m - n)
+    a, b = g, prem(f, -g, var)
+    while not b.is_zero:
+        d, e = a.degree(var), b.degree(var)
+        yield d - 1, -b if swap and (m - d + 1) * (n - d + 1) % 2 else b
+        c = b
+        if d - e > 1:
+            # S_e is the defective S_(d-1) scaled up to a leading
+            # coefficient lc(b)^(d-e)/s^(d-e-1)
+            c = exact_div(b.leading_coeff(var) ** (d - e - 1) * b,
+                          s ** (d - e - 1))
+            yield e, -c if swap and (m - e) * (n - e) % 2 else c
+        if e == 0:
+            return
+        b = exact_div(prem(a, -b, var), s ** (d - e) * a.leading_coeff(var))
+        a, s = c, c.leading_coeff(var)
+
+
 # -- resultant and discriminant -----------------------------------------
 
-def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    """Resultant with respect to ``var``; the Sylvester determinant value.
+def _resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
+    """S_0 of p and q in var; zero when the chain ends above it."""
+    for j, s in subresultants(p, q, var):
+        if j == 0:
+            return s
+    return Polynomial.zero(p.order)
 
-    Computed via a pseudo-remainder sequence; the exact scalar-polynomial
-    correction factors are accumulated and divided out at the end, so the
-    result is exact without determinant expansion.
-    """
+
+def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
+    """Resultant with respect to ``var``; the Sylvester determinant value,
+    read off the subresultant chain as S_0."""
     if p.order != q.order:
         raise PolynomialError("mismatched variable orders")
     if p.degree(var) < 1 or q.degree(var) < 1:
         raise PolynomialError("resultant requires positive degree in %s" % var)
-    return _resultant_prs(p, q, var)
-
-
-def _resultant_prs(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    order = p.order
-    one = Polynomial.const(order, 1)
-    sign = 1
-    num: list = []
-    den: list = []
-    a, b = p, q
-    if a.degree(var) < b.degree(var):
-        if (a.degree(var) * b.degree(var)) % 2 == 1:
-            sign = -sign
-        a, b = b, a
-    while True:
-        da, db = a.degree(var), b.degree(var)
-        if db == 0:
-            num.append((b, da))
-            break
-        _, r = pseudo_divmod(a, b, var)
-        if r.is_zero:
-            return Polynomial.zero(order)
-        dr = r.degree(var)
-        lc_b = b.leading_coeff(var)
-        if (da * db) % 2 == 1:
-            sign = -sign
-        num.append((lc_b, da - dr))
-        den.append((lc_b, (da - db + 1) * db))
-        a, b = b, r
-    result = one if sign > 0 else -one
-    for base, e in num:
-        if e:
-            result = result * base ** e
-    for base, e in den:
-        if e:
-            result = exact_div(result, base ** e)
-    return result
+    return _resultant(p, q, var)
 
 
 def discriminant(p: Polynomial, var: str) -> Polynomial:
@@ -825,7 +838,7 @@ def discriminant(p: Polynomial, var: str) -> Polynomial:
     d = p.degree(var)
     if d < 2:
         raise PolynomialError("discriminant requires degree >= 2 in %s" % var)
-    r = _resultant_prs(p, p.derivative(var), var)
+    r = _resultant(p, p.derivative(var), var)
     r = exact_div(r, p.leading_coeff(var))
     if (d * (d - 1) // 2) % 2 == 1:
         r = -r

@@ -1,7 +1,8 @@
 """Projection operators producing the level sets P_n .. P_1.
 
 Four operators are provided: the classical Collins operator (reducta and
-principal subresultant coefficients), the reduced McCallum operator
+principal subresultant coefficients, which are read off the subresultant
+chain of ``polynomial.subresultants``), the reduced McCallum operator
 (coefficients, discriminants, cross resultants), the equational-constraint
 operator, and the truth-table-invariant operator for clause lists.  Every
 step tags its output polynomials with how they arose.  ``project_all``
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomial import (
@@ -26,11 +26,10 @@ from .polynomial import (
     poly_gcd,
     resultant,
     squarefree_basis,
+    subresultants,
 )
 
 OPERATORS = ("collins", "mccallum", "ec", "tti")
-
-TAGS = ("input", "coefficient", "discriminant", "resultant", "content")
 
 
 class ProjectionError(PolynomialError):
@@ -162,12 +161,12 @@ def _reducta(p: Polynomial, var: str) -> List[Polynomial]:
 
 def _psc_tags(f: Polynomial, g: Polynomial, var: str,
               parents: Tuple[str, ...]) -> List[Tagged]:
-    out = []
-    for j in range(min(f.degree(var), g.degree(var))):
-        s = psc(f, g, var, j)
-        if not s.is_constant:
-            out.append(Tagged(s, "resultant", parents))
-    return out
+    # psc_j is the leading coefficient of S_j when deg S_j = j and zero
+    # otherwise; the chain yields S_j by falling j
+    pscs = [s.leading_coeff(var) for j, s in subresultants(f, g, var)
+            if s.degree(var) == j]
+    return [Tagged(p, "resultant", parents) for p in reversed(pscs)
+            if not p.is_constant]
 
 
 def collins_tagged(polys: Sequence[Polynomial], var: str) -> List[Tagged]:
@@ -247,66 +246,6 @@ def implicit_product_tagged(clauses: Sequence[ClauseSpec], var: str) -> List[Tag
         for g in others:
             out.extend(_res_tag(f, g, var))
     return out
-
-
-# -- principal subresultant coefficients --------------------------------
-
-def psc(f: Polynomial, g: Polynomial, var: str, j: int) -> Polynomial:
-    """The j-th principal subresultant coefficient of f and g in var,
-    as a determinant of a trimmed Sylvester matrix.  psc(f, g, var, 0)
-    equals the resultant."""
-    m, n = f.degree(var), g.degree(var)
-    if j >= min(m, n):
-        raise ProjectionError("psc index out of range")
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    zero = Polynomial.zero(f.order)
-    size = m + n - 2 * j
-    rows = []
-    for i in range(n - j):
-        row = [zero] * size
-        for k in range(m + 1):
-            col = i + (m - k)
-            if col < size:
-                row[col] = fc[k]
-        rows.append(row)
-    for i in range(m - j):
-        row = [zero] * size
-        for k in range(n + 1):
-            col = i + (n - k)
-            if col < size:
-                row[col] = gc[k]
-        rows.append(row)
-    return det_bareiss(rows)
-
-
-def det_bareiss(rows: List[List[Polynomial]]) -> Polynomial:
-    """Fraction-free determinant of a square matrix of polynomials."""
-    n = len(rows)
-    order = rows[0][0].order if n else None
-    if n == 0:
-        raise ProjectionError("empty matrix")
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = Polynomial.const(order, Fraction(1))
-    from .polynomial import exact_div
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero(order)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = Polynomial.zero(order)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d.scale(Fraction(-1)) if sign < 0 else d
 
 
 # -- basis reduction and the public steps -------------------------------

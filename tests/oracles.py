@@ -1,9 +1,10 @@
 """Independent oracles used only by the tests.
 
 Deliberately naive implementations with no code shared with the package:
-a Sturm-sequence real-root counter over Fraction coefficient lists, and a
-resultant computed as the determinant of the full Sylvester matrix by
-Fraction Gaussian elimination.
+a Sturm-sequence real-root counter over Fraction coefficient lists, and
+resultants and principal subresultant coefficients computed as
+determinants of (trimmed) Sylvester matrices by Fraction Gaussian
+elimination.
 """
 
 from fractions import Fraction
@@ -106,6 +107,22 @@ def sylvester_resultant(f: Sequence[Fraction],
         rows.append([Fraction(0)] * i + fr + [Fraction(0)] * (size - m - 1 - i))
     for i in range(m):
         rows.append([Fraction(0)] * i + gr + [Fraction(0)] * (size - n - 1 - i))
+    return _det(rows)
+
+
+def sylvester_psc(f: Sequence[Fraction], g: Sequence[Fraction],
+                  j: int) -> Fraction:
+    """psc_j of f and g, 0 <= j < min(deg f, deg g): the determinant of
+    the first m + n - 2j columns of n - j rows of f over m - j rows of g,
+    each row shifted one column further than the last."""
+    f, g = normalize(f), normalize(g)
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n - 2 * j
+    pad = [Fraction(0)] * size
+    rows = [([Fraction(0)] * i + list(reversed(f)) + pad)[:size]
+            for i in range(n - j)]
+    rows += [([Fraction(0)] * i + list(reversed(g)) + pad)[:size]
+             for i in range(m - j)]
     return _det(rows)
 
 

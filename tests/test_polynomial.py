@@ -18,6 +18,7 @@ from cadkit.polynomial import (
     resultant,
     squarefree_basis,
     squarefree_part,
+    subresultants,
     parse_poly as pp,
 )
 
@@ -159,6 +160,19 @@ class TestGcd:
         assert exact_div(f, d) is not None
         assert d.degree("x") == 2  # (x - y)(x + 3) up to sign
 
+    def test_gcd_without_coefficient_blowup(self):
+        # a primitive remainder sequence, with a content gcd per step,
+        # spent 40 s of CPU on this pair
+        o = VarOrder(("x", "y", "z"))
+        h = "(x^2*y*z + 3*y + 9*z)"
+        f = parse_poly(h + "*(4/3*x^2*y^3*z^2 - 8/3*x^2*y^2*z"
+                       " + 2/3*x*y^2*z^2 + 6*x^2*y^2 - 2/3*x*y^3"
+                       " - 2/9*x*y^2*z)", o)
+        g = parse_poly(h + "*(-16/9*x^2*y^2*z^2 - 6*x^2*y*z^2 + 8/3*x*y^2"
+                       " - 8/3*y^2*z - 4/3*y^2 + 4/9)", o)
+        assert str(poly_gcd(f, g)) == "x^2*y*z + 3*y + 9*z"
+        assert resultant(f, g, "y").is_zero
+
 
 class TestSquarefree:
     def test_squarefree_part_removes_multiplicity(self):
@@ -244,3 +258,73 @@ class TestResultant:
         f = P("(x - 2)*(x + 5)", X)
         g = P("(x - 2)*(x - 7)", X)
         assert resultant(f, g, "x").is_zero
+
+
+def chain_pscs(f, g, var):
+    """psc_0 .. psc_(min(deg f, deg g) - 1) read off the chain."""
+    pscs = [Polynomial.zero(f.order)] * min(f.degree(var), g.degree(var))
+    for j, s in subresultants(f, g, var):
+        if s.degree(var) == j:
+            pscs[j] = s.leading_coeff(var)
+    return pscs
+
+
+class TestSubresultants:
+    def test_pscs_match_sylvester_oracle(self, rng):
+        # small sparse coefficients make defective chains common (a zero
+        # psc_j above a nonzero one), and every other pair is f and
+        # q*f + r, whose first remainder r may drop several degrees
+        from oracles import sylvester_psc
+        degree_orders, defective = set(), 0
+        for k in range(300):
+            f = coeffs_to_poly(rand_coeffs(rng, rng.randint(1, 6), -2, 2),
+                               X, "x")
+            g = coeffs_to_poly(rand_coeffs(rng, rng.randint(1, 6), -2, 2),
+                               X, "x")
+            if k % 2:
+                g = (rand_univar(rng, rng.randint(1, 3)) * f
+                     + rand_univar(rng, rng.randint(0, f.degree("x") - 1)))
+            if rng.random() < 0.5:
+                f, g = g, f
+            fc, gc = f.univariate_coeffs("x"), g.univariate_coeffs("x")
+            pscs = chain_pscs(f, g, "x")
+            expect = [sylvester_psc(fc, gc, j) for j in range(len(pscs))]
+            assert [p.constant_value() for p in pscs] == expect
+            degree_orders.add((len(fc) > len(gc)) - (len(fc) < len(gc)))
+            defective += any(expect[i] and not expect[j]
+                             for j in range(len(expect)) for i in range(j))
+        assert degree_orders == {-1, 0, 1}
+        assert defective >= 40
+
+    def test_multivariate_chain_specializes(self, rng):
+        # PSCs and resultants commute with specializing x and y wherever
+        # neither leading coefficient in z vanishes
+        from oracles import sylvester_psc, sylvester_resultant
+        o = VarOrder(("x", "y", "z"))
+
+        def rand_poly():
+            dz = rng.randint(1, 3)
+            terms = {(rng.randint(0, 2), rng.randint(0, 1),
+                      rng.randint(0, dz)): rng.randint(-3, 3)
+                     for _ in range(4)}
+            terms[(rng.randint(0, 1), rng.randint(0, 1), dz)] = 1
+            return Polynomial(o, terms)
+
+        checked = 0
+        for _ in range(40):
+            f, g = rand_poly(), rand_poly()
+            pscs = chain_pscs(f, g, "z")
+            res = resultant(f, g, "z")
+            for _ in range(3):
+                pt = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                      for v in "xy"}
+                fc = [c.evaluate(pt) for c in f.coeffs_in("z")]
+                gc = [c.evaluate(pt) for c in g.coeffs_in("z")]
+                if fc[-1] == 0 or gc[-1] == 0:
+                    continue
+                assert ([p.evaluate(pt) for p in pscs]
+                        == [sylvester_psc(fc, gc, j)
+                            for j in range(len(pscs))])
+                assert res.evaluate(pt) == sylvester_resultant(fc, gc)
+                checked += 1
+        assert checked >= 80

@@ -1,21 +1,17 @@
-from fractions import Fraction
-
 import pytest
 
 from cadkit import VarOrder
-from cadkit.polynomial import Polynomial, parse_poly, resultant
+from cadkit.polynomial import Polynomial, parse_poly, resultant, subresultants
 from cadkit.projection import (
     ClauseSpec,
     ProjectionConfig,
     collins_step,
     count_by_tag,
-    det_bareiss,
     ec_tagged,
     implicit_product_tagged,
     mccallum_step,
     mccallum_tagged,
     project_all,
-    psc,
     tti_tagged,
 )
 
@@ -85,18 +81,8 @@ class TestSubresultants:
         for _ in range(25):
             f = rand_univar(rng, rng.randint(1, 4), XY, "y")
             g = rand_univar(rng, rng.randint(1, 4), XY, "y")
-            r = psc(f, g, "y", 0)
-            s = resultant(f, g, "y")
-            assert r == s or r == s.scale(-1)
-
-    def test_det_bareiss_matches_fraction_oracle(self, rng):
-        from oracles import _det
-        for _ in range(25):
-            n = rng.randint(1, 5)
-            vals = [[Fraction(rng.randint(-9, 9)) for _ in range(n)]
-                    for _ in range(n)]
-            rows = [[Polynomial.const(XY, v) for v in row] for row in vals]
-            assert det_bareiss(rows).constant_value() == _det(vals)
+            psc_0 = dict(subresultants(f, g, "y")).get(0, Polynomial.zero(XY))
+            assert psc_0 == resultant(f, g, "y")
 
 
 class TestOperators:
